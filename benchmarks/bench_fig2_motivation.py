@@ -7,7 +7,7 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import geomean
 
 
-def test_fig2a_corun_slowdowns(benchmark, sweep_opts):
+def test_fig2a_slowdowns(benchmark, sweep_opts):
     rows = run_once(benchmark, fig2_slowdowns, scale=BENCH_SCALE, seed=SEED,
                     **sweep_opts)
 

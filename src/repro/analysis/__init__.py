@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.apiusage import ApiUsageRule, PrivateImportRule
+from repro.analysis.apiusage import PrivateImportRule
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.floatorder import FloatOrderRule
 from repro.analysis.framework import (Finding, Module, Rule,
@@ -40,15 +40,14 @@ from repro.analysis.statskeys import StatsKeyRegistryRule
 from repro.analysis.style import (LineLengthRule, UnusedImportRule,
                                   WhitespaceRule)
 
-#: The eleven domain rules (always on) in reporting order.  SEED01,
+#: The ten domain rules (always on) in reporting order.  SEED01,
 #: ISO01 and FLT01 are the dataflow tier (repro.analysis.dataflow):
 #: semantic checks on seed provenance, cross-cell state isolation, and
 #: float accumulation order.
 DOMAIN_RULES = (DeterminismRule, SeedFlowRule, StateIsolationRule,
                 FloatOrderRule, TelemetryPurityRule,
                 SweepPicklabilityRule, StatsKeyRegistryRule,
-                MutableDefaultRule, ApiUsageRule, PrivateImportRule,
-                RobustnessRule)
+                MutableDefaultRule, PrivateImportRule, RobustnessRule)
 
 #: Dependency-free style gates (subset of the ruff configuration).
 STYLE_RULES = (LineLengthRule, WhitespaceRule, UnusedImportRule)
@@ -62,15 +61,15 @@ def default_rules(docs_path: str | Path | None = None,
 
     ``docs_path`` pins the Stats-counter registry document
     (auto-discovered from the linted tree when None); ``style=False``
-    drops the STY* gates and runs only the eleven domain rules.
+    drops the STY* gates and runs only the ten domain rules.
     """
     rules: list[Rule] = [DeterminismRule(), SeedFlowRule(),
                          StateIsolationRule(), FloatOrderRule(),
                          TelemetryPurityRule(),
                          SweepPicklabilityRule(),
                          StatsKeyRegistryRule(docs_path),
-                         MutableDefaultRule(), ApiUsageRule(),
-                         PrivateImportRule(), RobustnessRule()]
+                         MutableDefaultRule(), PrivateImportRule(),
+                         RobustnessRule()]
     if style:
         rules.extend(cls() for cls in STYLE_RULES)
     return rules
@@ -116,8 +115,8 @@ __all__ = [
     "default_rules", "rules_by_id", "to_sarif", "sarif_json",
     "DeterminismRule", "SeedFlowRule", "StateIsolationRule",
     "FloatOrderRule", "TelemetryPurityRule", "SweepPicklabilityRule",
-    "StatsKeyRegistryRule", "MutableDefaultRule", "ApiUsageRule",
-    "PrivateImportRule", "RobustnessRule",
+    "StatsKeyRegistryRule", "MutableDefaultRule", "PrivateImportRule",
+    "RobustnessRule",
     "LineLengthRule", "WhitespaceRule", "UnusedImportRule",
     "DOMAIN_RULES", "STYLE_RULES", "ALL_RULES",
 ]

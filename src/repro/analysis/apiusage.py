@@ -1,28 +1,15 @@
-"""API01/API02: forbid deprecated entry points and private cross-imports.
+"""API02: forbid cross-package imports of underscore-private names.
 
-PR 4 moved the supported programmatic surface behind the keyword-only
-:mod:`repro.api` facade; the old free functions
-(``repro.experiments.runner.run_mix`` and friends) and the camel-order
-:class:`~repro.engine.simulator.SimResult` aliases (``cpu_cycles`` /
-``gpu_cycles``) remain as deprecation shims for external callers only.
-Library code importing a shim would warn on every internal call and
-defeat the migration, so API01 fails the build when a module inside
-the ``repro`` package imports a deprecated name or reads a deprecated
-result attribute.  The re-export hub ``repro/experiments/__init__.py``
-carries explicit ``# noqa: API01`` markers — keeping the shims importable
-for external code is its job.
-
-API02 closes the back door API01 left open: a module reaching across
-package lines for an underscore-private name (``from
-repro.experiments.sweep import _sweep_compare``) couples itself to an
-implementation detail no deprecation shim protects.  PR 9 promoted
-every such name to a public home, and API02 keeps it that way: inside
+A module reaching across package lines for an underscore-private name
+(``from repro.experiments.runner import _cycle_ratio``) couples itself
+to an implementation detail no public contract protects.  Every such
+name has a public home, and API02 keeps it that way: inside
 ``repro``, importing ``_private`` names (or ``_private`` modules) from
 anywhere but the importer's own package fails the build.  A package
-importing its *own* private submodule through its ``__init__`` facade
-(``from repro.engine import _kernels`` inside ``repro/engine/``) stays
-legal — that is the one place a private module is an internal detail,
-not a cross-module dependency.
+importing its *own* private submodule through its
+``__init__`` facade (``from repro.engine import _kernels`` inside
+``repro/engine/``) stays legal — that is the one place a private module
+is an internal detail, not a cross-module dependency.
 """
 
 from __future__ import annotations
@@ -31,53 +18,6 @@ import ast
 from typing import Iterable
 
 from repro.analysis.framework import Finding, Module, Rule
-
-#: Deprecated import targets: module -> shim names that must not be
-#: imported from inside the ``repro`` package.
-DEPRECATED_IMPORTS = {
-    "repro.experiments.runner": frozenset(
-        {"run_mix", "compare_designs", "corun_slowdowns"}),
-    "repro.experiments.sweep": frozenset({"sweep_compare", "sweep_corun"}),
-    "repro.experiments": frozenset(
-        {"run_mix", "compare_designs", "corun_slowdowns",
-         "sweep_compare", "sweep_corun"}),
-}
-
-#: Deprecated SimResult attribute aliases -> unified replacement.
-DEPRECATED_ATTRS = {"cpu_cycles": "cycles_cpu", "gpu_cycles": "cycles_gpu"}
-
-
-class ApiUsageRule(Rule):
-    """Flag imports/uses of deprecated entry points inside ``repro``."""
-
-    rule_id = "API01"
-    name = "api-usage"
-    severity = "error"
-    description = ("library code must use repro.api / unified result "
-                   "names, not the deprecated shims")
-
-    def check(self, module: Module) -> Iterable[Finding]:
-        if "repro" not in module.parts():
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 0:
-                bad = DEPRECATED_IMPORTS.get(node.module or "")
-                if not bad:
-                    continue
-                for alias in node.names:
-                    if alias.name in bad:
-                        yield self.finding(
-                            module, node,
-                            f"import of deprecated {node.module}."
-                            f"{alias.name}; call repro.api (or its "
-                            f"public home in repro.experiments) instead")
-            elif isinstance(node, ast.Attribute) and \
-                    isinstance(node.ctx, ast.Load) and \
-                    node.attr in DEPRECATED_ATTRS:
-                yield self.finding(
-                    module, node,
-                    f"deprecated result attribute .{node.attr}; "
-                    f"use .{DEPRECATED_ATTRS[node.attr]}")
 
 
 def _is_private(name: str) -> bool:

@@ -9,8 +9,8 @@ one into a sweep entry point works in the serial path and then explodes
 ``--jobs``.  PR 1 documented this requirement; this rule enforces it at
 the call sites.
 
-Flagged: a ``lambda`` anywhere inside an argument to ``sweep_compare`` /
-``sweep_corun`` / ``SweepJob`` / ``<engine>.run(...)``, or a reference
+Flagged: a ``lambda`` anywhere inside an argument to ``sweep_grid`` /
+``corun_grid`` / ``SweepJob`` / ``<engine>.run(...)``, or a reference
 to a nested (locally defined) function passed as such an argument.  The
 ``progress=`` keyword is exempt — progress callbacks stay in the parent
 process and are never pickled.
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from repro.analysis.framework import Finding, Module, Rule, dotted_name
 
 #: Free functions / constructors whose arguments end up pickled.
-ENTRY_FUNCS = frozenset({"sweep_compare", "sweep_corun", "SweepJob"})
+ENTRY_FUNCS = frozenset({"sweep_grid", "corun_grid", "SweepJob"})
 
 #: Methods whose arguments end up pickled, keyed on a receiver whose
 #: name mentions the engine (``engine.run(jobs)``, ``SweepEngine().run``).
@@ -40,7 +40,7 @@ def _is_entry_call(call: ast.Call) -> bool:
         return func.id in ENTRY_FUNCS
     if isinstance(func, ast.Attribute):
         if func.attr in ENTRY_FUNCS:
-            return True  # sweep.sweep_compare(...), module-qualified
+            return True  # sweep.sweep_grid(...), module-qualified
         if func.attr in ENTRY_METHODS:
             chain = dotted_name(func.value)
             return any("engine" in part.lower() for part in chain)

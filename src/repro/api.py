@@ -5,9 +5,7 @@ function takes keyword-only arguments, accepts mixes by Table II name or
 as built :class:`~repro.traces.mixes.WorkloadMix` objects, and defaults
 to the vectorized fast-path engine; ``engine="batch"`` selects the
 fused-interpreter batch engine instead (both bit-exact with the
-reference event loop — see docs/api.md).  The older free functions in
-``repro.experiments`` (``run_mix``, ``compare_designs``, ...) remain as
-deprecated shims that delegate here.
+reference event loop — see docs/api.md).
 
 Quick tour::
 
@@ -136,8 +134,7 @@ class SweepResult:
 
         Returns :class:`~repro.service.schema.CellRow` dataclasses —
         the same objects ``report.perf_csv_rows`` consumes and the
-        campaign server streams.  ``row["design"]``-style dict access
-        still works for one release via a deprecation shim.
+        campaign server streams.
         """
         return [CellRow.from_combo(design, mix_name, combo)
                 for design, by_mix in self.grid.items()
@@ -237,8 +234,3 @@ def corun(*, mix: str | WorkloadMix, design="baseline",
                          jobs=jobs, cache=cache, progress=progress,
                          engine=engine, **sim_kw)
 
-
-# Pre-PR-9 underscore alias, kept importable for one release (new code —
-# and everything inside src/, enforced by lint rule API02 — uses the
-# public name).
-_coerce_mix = coerce_mix

@@ -232,7 +232,7 @@ DEFAULT_CHAOS_SPEC = "crash:0.6,transient:0.6x2,torn:1@seed=11"
 
 
 def _run_chaos(args) -> int:
-    """Chaos smoke behind ``repro sweep --chaos`` (the check_all gate).
+    """Chaos smoke behind ``repro sweep --chaos``.
 
     Runs a small grid three times — (1) under the installed fault plan
     with retries, pool respawns, and failure collection on; (2) again

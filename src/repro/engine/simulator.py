@@ -9,7 +9,6 @@ per-class cycle counts the paper's evaluation (artifact task T3) reports.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
@@ -60,9 +59,7 @@ class SimResult:
 
     Metric names follow the repo-wide ``<metric>_<class>`` snake_case
     vocabulary (``cycles_cpu``, ``ipc_cpu``, ...) shared with sweep row
-    keys and telemetry epoch records; the pre-unification
-    ``cpu_cycles``/``gpu_cycles`` spellings remain as deprecated
-    read-only aliases.
+    keys and telemetry epoch records.
     """
 
     mix: str
@@ -83,20 +80,6 @@ class SimResult:
         hits = self.stats.get(f"{klass}.fast_hits", 0.0)
         total = hits + self.stats.get(f"{klass}.fast_misses", 0.0)
         return hits / total if total else 0.0
-
-    @property
-    def cpu_cycles(self) -> float | None:
-        """Deprecated alias of :attr:`cycles_cpu`."""
-        warnings.warn("SimResult.cpu_cycles is deprecated; use cycles_cpu",
-                      DeprecationWarning, stacklevel=2)
-        return self.cycles_cpu
-
-    @property
-    def gpu_cycles(self) -> float | None:
-        """Deprecated alias of :attr:`cycles_gpu`."""
-        warnings.warn("SimResult.gpu_cycles is deprecated; use cycles_gpu",
-                      DeprecationWarning, stacklevel=2)
-        return self.cycles_gpu
 
 
 class Simulation:

@@ -5,11 +5,7 @@ drivers, and report rendering.
 The single-cell / grid primitives live here under public names
 (``run_design``, ``compare_on_mix``, ``corun_metrics``, ``sweep_grid``,
 ``corun_grid``); the keyword-only :mod:`repro.api` facade is the
-supported entry point and builds on them.  The free-function shims also
-re-exported (``run_mix``, ``compare_designs``, ``corun_slowdowns``,
-``sweep_compare``, ``sweep_corun``) are deprecated and kept only for
-external callers (the ``noqa`` markers below exempt this re-export hub
-from the API01 lint rule).
+supported entry point and builds on them.
 """
 
 from repro.experiments.cache import SweepCache
@@ -17,18 +13,13 @@ from repro.experiments.designs import (ALL_DESIGNS, FIG5_DESIGNS,
                                        KVCACHE_DESIGNS, make_policy)
 from repro.experiments.resilience import (JobFailure, JobTimeout,
                                           RetryPolicy, SweepReport)
-from repro.experiments.runner import (compare_designs,  # noqa: API01
-                                      compare_on_mix, corun_metrics,
-                                      corun_slowdowns, run_design, run_mix,
-                                      weighted_speedup)
-from repro.experiments.sweep import (MixSpec, SweepEngine,  # noqa: API01
-                                     SweepJob, corun_grid, sweep_compare,
-                                     sweep_corun, sweep_grid)
+from repro.experiments.runner import (compare_on_mix, corun_metrics,
+                                      run_design, weighted_speedup)
+from repro.experiments.sweep import (MixSpec, SweepEngine, SweepJob,
+                                     corun_grid, sweep_grid)
 
 __all__ = ["ALL_DESIGNS", "FIG5_DESIGNS", "KVCACHE_DESIGNS", "make_policy",
            "run_design", "compare_on_mix", "corun_metrics", "sweep_grid",
-           "corun_grid", "compare_designs",
-           "corun_slowdowns", "run_mix", "weighted_speedup", "MixSpec",
-           "SweepCache", "SweepEngine", "SweepJob", "sweep_compare",
-           "sweep_corun", "RetryPolicy", "JobFailure", "JobTimeout",
-           "SweepReport"]
+           "corun_grid", "weighted_speedup", "MixSpec", "SweepCache",
+           "SweepEngine", "SweepJob", "RetryPolicy", "JobFailure",
+           "JobTimeout", "SweepReport"]

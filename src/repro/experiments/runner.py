@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 from repro.config import SystemConfig, default_system
@@ -18,12 +17,6 @@ from repro.engine.simulator import SimResult, simulate
 from repro.experiments.designs import design_config, make_policy
 from repro.hybrid.policies.base import PartitionPolicy
 from repro.traces.mixes import WorkloadMix, build_mix, cpu_only, gpu_only
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the one-line :class:`DeprecationWarning` every shim uses."""
-    warnings.warn(f"{old} is deprecated; use {new} (see docs/api.md)",
-                  DeprecationWarning, stacklevel=3)
 
 
 def env_scale(default: float = 1.0) -> float:
@@ -76,15 +69,6 @@ def run_design(design: str | PartitionPolicy, mix: WorkloadMix,
     else:
         policy = design
     return simulate(cfg, policy, mix, **sim_kw)
-
-
-def run_mix(design: str | PartitionPolicy, mix: WorkloadMix,
-            cfg: SystemConfig | None = None, *,
-            native_geometry: bool = True, **sim_kw) -> SimResult:
-    """Deprecated: use :func:`repro.api.simulate` (keyword-only facade)."""
-    warn_deprecated("repro.experiments.runner.run_mix", "repro.api.simulate")
-    return run_design(design, mix, cfg, native_geometry=native_geometry,
-                      **sim_kw)
 
 
 def weighted_speedup(res: SimResult, base: SimResult,
@@ -147,23 +131,6 @@ def compare_on_mix(mix: WorkloadMix, designs: tuple[str, ...],
             if mix.name in by_mix}
 
 
-def compare_designs(mix: WorkloadMix, designs: tuple[str, ...],
-                    cfg: SystemConfig | None = None, *,
-                    jobs: int | None = None, cache=None, progress=None,
-                    trace_dir: str | None = None,
-                    **sim_kw) -> dict[str, ComboResult]:
-    """Deprecated: use :func:`repro.api.compare`.
-
-    Runs the baseline plus ``designs`` on one mix through the sweep engine
-    (``jobs`` fans out across processes, ``cache`` recalls simulated cells,
-    ``trace_dir`` streams telemetry JSONL) and normalizes to the baseline.
-    """
-    warn_deprecated("repro.experiments.runner.compare_designs",
-                    "repro.api.compare")
-    return compare_on_mix(mix, designs, cfg, jobs=jobs, cache=cache,
-                          progress=progress, trace_dir=trace_dir, **sim_kw)
-
-
 def corun_metrics(mix: WorkloadMix, cfg: SystemConfig | None = None,
                   design="baseline", *, jobs: int | None = None,
                   cache=None, progress=None, retry=None,
@@ -192,25 +159,6 @@ def corun_metrics(mix: WorkloadMix, cfg: SystemConfig | None = None,
     return slowdown_metrics(corun, solo_cpu, solo_gpu)
 
 
-def corun_slowdowns(mix: WorkloadMix, cfg: SystemConfig | None = None,
-                    design="baseline", *, jobs: int | None = None,
-                    cache=None, progress=None, **sim_kw) -> dict[str, float]:
-    """Deprecated: use :func:`repro.api.corun`.
-
-    Fig. 2(a): per-class slowdown of co-running vs running alone.
-    ``design`` is a registry name or a zero-argument policy factory (each
-    of the three runs needs a fresh policy instance).  Registry names are
-    submitted through the sweep engine (``jobs`` / ``cache`` as in
-    :func:`compare_designs`); factories are not picklable or cacheable, so
-    they always run serially in-process.  One-sided mixes (no CPU or no
-    GPU agents) skip the missing solo run and report NaN for that class.
-    """
-    warn_deprecated("repro.experiments.runner.corun_slowdowns",
-                    "repro.api.corun")
-    return corun_metrics(mix, cfg, design, jobs=jobs, cache=cache,
-                         progress=progress, **sim_kw)
-
-
 def geomean(values) -> float:
     vals = [v for v in values if v > 0]
     if not vals:
@@ -224,12 +172,3 @@ def build_scaled_mix(name: str, scale: float | None = None,
     return build_mix(name, scale=scale if scale is not None else env_scale(),
                      **kw)
 
-
-# Pre-PR-9 underscore aliases, kept importable for one release so external
-# callers migrating from the private names keep working; new code (and
-# everything inside src/, enforced by lint rule API02) uses the public
-# names above.
-_deprecated = warn_deprecated
-_run_mix = run_design
-_compare_designs = compare_on_mix
-_corun_slowdowns = corun_metrics

@@ -58,7 +58,7 @@ from repro.experiments.resilience import (JobFailure, RetryPolicy,
                                           resolve_failure_policy,
                                           resolve_retry, time_limit)
 from repro.experiments.runner import (run_design, slowdown_metrics,
-                                      warn_deprecated, weighted_speedup)
+                                      weighted_speedup)
 from repro.telemetry import NULL_SINK, Telemetry
 from repro.traces.mixes import (CPU_COPIES, WorkloadMix, build_mix, cpu_only,
                                 gpu_only)
@@ -747,6 +747,11 @@ def sweep_grid(mixes, designs, cfg: SystemConfig | None = None, *,
                **sim_kw) -> dict[str, dict[str, "ComboResult"]]:
     """Grid submission behind :func:`repro.api.sweep`.
 
+    Baseline + ``designs`` on every mix, submitted as one job list, so
+    the per-mix baseline is simulated once and shared.  Returns
+    ``{design: {mix_name: ComboResult}}`` (the Fig. 5 / perf.csv
+    layout) with ``"baseline"`` first.
+
     ``runner`` is the :class:`SweepEngine`; a simulation-core selector
     travels inside ``sim_kw`` as ``engine=...`` (the names differ so the
     two kinds of engine can be passed together).  Under
@@ -781,34 +786,6 @@ def sweep_grid(mixes, designs, cfg: SystemConfig | None = None, *,
             out[d][_name_of(spec)] = weighted_speedup(
                 res, base, cfg.weight_cpu, cfg.weight_gpu)
     return out
-
-
-def sweep_compare(mixes, designs, cfg: SystemConfig | None = None, *,
-                  scale: float = 1.0, seed: int = 7,
-                  native_geometry: bool = True,
-                  engine: SweepEngine | None = None,
-                  workers: int | None = None, cache=None, progress=None,
-                  trace_dir: str | None = None,
-                  **sim_kw) -> dict[str, dict[str, "ComboResult"]]:
-    """Deprecated: use :func:`repro.api.sweep`.
-
-    Baseline + ``designs`` on every mix, through one engine batch.  The
-    whole (mix x design) grid — baselines included — is submitted as a
-    single job list, so parallelism spans mixes as well as designs and the
-    per-mix baseline is simulated exactly once and shared by every
-    comparison against it.  Returns ``{design: {mix_name: ComboResult}}``
-    (the Fig. 5 / perf.csv layout) with ``"baseline"`` first.
-
-    ``trace_dir`` writes one telemetry JSONL per simulated cell (see
-    :class:`SweepJob`); workers run with the zero-overhead
-    :class:`~repro.telemetry.NullSink` unless it is set.
-    """
-    warn_deprecated("repro.experiments.sweep.sweep_compare",
-                    "repro.api.sweep")
-    return sweep_grid(mixes, designs, cfg, scale=scale, seed=seed,
-                      native_geometry=native_geometry, runner=engine,
-                      workers=workers, cache=cache, progress=progress,
-                      trace_dir=trace_dir, **sim_kw)
 
 
 def _solo_variant(mix, klass: str):
@@ -867,28 +844,3 @@ def corun_grid(mixes, cfg: SystemConfig | None = None, *,
             results.get(job(solo_cpu)) if solo_cpu is not None else None,
             results.get(job(solo_gpu)) if solo_gpu is not None else None)
     return out
-
-
-def sweep_corun(mixes, cfg: SystemConfig | None = None, *,
-                design: str = "baseline", scale: float = 1.0, seed: int = 7,
-                engine: SweepEngine | None = None, workers: int | None = None,
-                cache=None, progress=None, trace_dir: str | None = None,
-                **sim_kw) -> dict[str, dict[str, float]]:
-    """Deprecated: use :func:`repro.api.corun`.
-
-    Fig. 2(a)-style sweep: solo-CPU / solo-GPU / co-run per mix.  All
-    three runs of every mix go through one engine batch.  Returns
-    ``{mix_name: slowdown metrics}`` with the same keys/NaN semantics as
-    :func:`repro.experiments.runner.corun_slowdowns`.
-    """
-    warn_deprecated("repro.experiments.sweep.sweep_corun",
-                    "repro.api.corun")
-    return corun_grid(mixes, cfg, design=design, scale=scale, seed=seed,
-                      runner=engine, workers=workers, cache=cache,
-                      progress=progress, trace_dir=trace_dir, **sim_kw)
-
-
-# Pre-PR-9 underscore aliases (see repro.experiments.runner): importable
-# for one release, banned inside src/ by lint rule API02.
-_sweep_compare = sweep_grid
-_sweep_corun = corun_grid

@@ -21,8 +21,8 @@ Fault kinds (``FAULT_KINDS``):
 * ``torn``      — a cache write is truncated after landing, modelling
   a crash or disk-full mid-write; the next read must quarantine it.
 
-Service-level fault kinds (exercised by ``tests/test_service_chaos.py``
-and the ``service-chaos`` gate; see docs/service.md):
+Service-level fault kinds (exercised by ``tests/test_service_chaos.py``;
+see docs/service.md):
 
 * ``kill``      — the campaign *server process* dies abruptly
   (``os._exit``) right after journaling a cell completion, modelling a

@@ -3,8 +3,9 @@
 Stdlib-only (``http.client`` speaks HTTP/1.1 chunked transfer
 natively), so anything that can import :mod:`repro` can talk to a
 campaign server with no extra dependencies.  Used by the ``repro
-submit`` CLI subcommand, the e2e tests, and ``bench_service.py``; the
-wire vocabulary is :mod:`repro.service.schema` on both sides.
+submit`` CLI subcommand, the e2e tests, and the benchmark's
+``service`` workload; the wire vocabulary is
+:mod:`repro.service.schema` on both sides.
 
 The client carries the service-tier resilience discipline
 (docs/service.md "Operations"):

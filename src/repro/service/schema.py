@@ -9,8 +9,7 @@ family of frozen dataclasses stamped with :data:`SCHEMA_VERSION`:
 * :class:`CellRow` — one cell's outcome: cycles, per-class speedups and
   the paper's weighted speedup.  Produced by ``api.SweepResult.rows``,
   consumed by ``report.perf_csv_rows`` and streamed verbatim by the
-  campaign server.  Old ``row["design"]`` dict access keeps working for
-  one release through a :class:`DeprecationWarning` shim.
+  campaign server.
 * :class:`CampaignSpec` — what a client submits: a grid of mixes x
   designs plus run knobs.
 * :class:`JobStatus` — the polling view of a submitted campaign,
@@ -26,9 +25,8 @@ schema than this library understands.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 #: Version stamp carried by every wire payload.  Bump on any change to
 #: the field vocabulary; ``from_json`` rejects newer-than-known
@@ -104,10 +102,6 @@ class CellRow:
     ``report.perf_csv_rows`` and the campaign server's JSONL stream.
     ``cycles_*`` are ``None`` for an absent class (CPU-only / GPU-only
     mixes); speedups are normalized to the same-mix baseline.
-
-    Dict-style access (``row["design"]``, ``set(row)``, ``row.get``)
-    keeps pre-schema callers working for one release but emits a
-    :class:`DeprecationWarning`; use attribute access.
     """
 
     design: str
@@ -167,38 +161,6 @@ class CellRow:
             if kw.get(name) is None:
                 kw[name] = float("nan")
         return cls(**kw)
-
-    # -- deprecated dict-access shim (one release) ------------------------
-
-    def _warn_dict_access(self) -> None:
-        warnings.warn(
-            "dict-style access on CellRow is deprecated; use attribute "
-            "access (row.design, row.weighted_speedup) — see docs/api.md",
-            DeprecationWarning, stacklevel=3)
-
-    def __getitem__(self, name: str) -> Any:
-        self._warn_dict_access()
-        try:
-            return getattr(self, name)
-        except AttributeError:
-            raise KeyError(name) from None
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn_dict_access()
-        return iter(CELL_ROW_FIELDS)
-
-    def __contains__(self, name: object) -> bool:
-        return name in CELL_ROW_FIELDS
-
-    def keys(self) -> tuple[str, ...]:
-        """Deprecated dict-compat: the column names."""
-        self._warn_dict_access()
-        return CELL_ROW_FIELDS
-
-    def get(self, name: str, default: Any = None) -> Any:
-        """Deprecated dict-compat: ``getattr`` with a default."""
-        self._warn_dict_access()
-        return getattr(self, name, default)
 
 
 @dataclass(frozen=True)

@@ -897,7 +897,7 @@ def serve_in_thread(**kw: Any) -> ServiceHandle:
 
     Binds an ephemeral port unless ``port=`` says otherwise and returns
     once the socket is listening.  The in-process path used by the e2e
-    tests, the ``service`` smoke gate, and ``bench_service.py``.
+    tests and the benchmark's ``service`` workload.
     """
     started = threading.Event()
     box: dict[str, Any] = {}

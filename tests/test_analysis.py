@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (ApiUsageRule, DeterminismRule, FloatOrderRule,
+from repro.analysis import (DeterminismRule, FloatOrderRule,
                             MutableDefaultRule, PrivateImportRule,
                             RobustnessRule, Rule,
                             SeedFlowRule, StateIsolationRule,
@@ -121,24 +121,35 @@ def test_tel01_bare_statement_is_clean(tmp_path):
 
 def test_pck01_lambda_into_sweep_entry(tmp_path):
     findings = lint_source(tmp_path, """\
-        from repro.experiments import sweep_compare
+        from repro.experiments import sweep_grid
 
         def drive(mixes, designs, cfg):
-            return sweep_compare(mixes, designs, cfg,
-                                 on_result=lambda cell: print(cell))
+            return sweep_grid(mixes, designs, cfg,
+                              telemetry=lambda: None)
         """, SweepPicklabilityRule())
     assert [f.rule_id for f in findings] == ["PCK01"]
     assert findings[0].line == 5
 
 
+def test_pck01_lambda_into_corun_grid(tmp_path):
+    findings = lint_source(tmp_path, """\
+        from repro.experiments import corun_grid
+
+        def drive(mixes, cfg):
+            return corun_grid(mixes, cfg, telemetry=lambda: None)
+        """, SweepPicklabilityRule())
+    assert [f.rule_id for f in findings] == ["PCK01"]
+    assert findings[0].line == 4
+
+
 def test_pck01_nested_function_into_sweep_entry(tmp_path):
     findings = lint_source(tmp_path, """\
-        from repro.experiments import sweep_compare
+        from repro.experiments import sweep_grid
 
         def drive(mixes, designs, cfg):
             def shaper(cell):
                 return cell
-            return sweep_compare(mixes, designs, cfg, shaper)
+            return sweep_grid(mixes, designs, cfg, shaper)
         """, SweepPicklabilityRule())
     assert [f.rule_id for f in findings] == ["PCK01"]
     assert findings[0].line == 6
@@ -146,11 +157,11 @@ def test_pck01_nested_function_into_sweep_entry(tmp_path):
 
 def test_pck01_progress_callback_is_parent_side(tmp_path):
     findings = lint_source(tmp_path, """\
-        from repro.experiments import sweep_compare
+        from repro.experiments import sweep_grid
 
         def drive(mixes, designs, cfg):
-            return sweep_compare(mixes, designs, cfg,
-                                 progress=lambda done: print(done))
+            return sweep_grid(mixes, designs, cfg,
+                              progress=lambda done: print(done))
         """, SweepPicklabilityRule())
     assert findings == []
 
@@ -240,50 +251,12 @@ def test_noqa_suppression(tmp_path):
     assert findings == []
 
 
-def test_api01_deprecated_import_inside_repro(tmp_path):
-    findings = lint_source(tmp_path, """\
-        from repro.experiments.runner import run_mix
-
-        def go(mix):
-            return run_mix("baseline", mix)
-        """, ApiUsageRule(), name="repro/mod.py")
-    assert [f.rule_id for f in findings] == ["API01"]
-    assert findings[0].line == 1
-    assert "run_mix" in findings[0].message
-
-
-def test_api01_deprecated_attribute_inside_repro(tmp_path):
-    findings = lint_source(tmp_path, """\
-        def report(res):
-            return res.cpu_cycles
-        """, ApiUsageRule(), name="repro/mod.py")
-    assert [f.rule_id for f in findings] == ["API01"]
-    assert "cycles_cpu" in findings[0].message
-
-
-def test_api01_ignores_code_outside_repro(tmp_path):
-    findings = lint_source(tmp_path, """\
-        from repro.experiments import sweep_compare
-
-        def go(res):
-            return res.cpu_cycles
-        """, ApiUsageRule(), name="external/mod.py")
-    assert findings == []
-
-
-def test_api01_noqa_suppression(tmp_path):
-    findings = lint_source(tmp_path, """\
-        from repro.experiments.sweep import sweep_corun  # noqa: API01
-        """, ApiUsageRule(), name="repro/mod.py")
-    assert findings == []
-
-
 def test_api02_cross_module_private_name(tmp_path):
     findings = lint_source(tmp_path, """\
-        from repro.experiments.sweep import _sweep_compare
+        from repro.experiments.sweep import _solo_variant
         """, PrivateImportRule(), name="repro/experiments/runner.py")
     assert [f.rule_id for f in findings] == ["API02"]
-    assert "_sweep_compare" in findings[0].message
+    assert "_solo_variant" in findings[0].message
 
 
 def test_api02_cross_package_private_module(tmp_path):
@@ -307,7 +280,7 @@ def test_api02_sibling_private_name_is_flagged(tmp_path):
     # Same *package* is not the same module: sweep reaching into its
     # sibling runner's privates is exactly the coupling API02 bans.
     findings = lint_source(tmp_path, """\
-        from repro.experiments.runner import _run_mix
+        from repro.experiments.runner import _cycle_ratio
         """, PrivateImportRule(), name="repro/experiments/sweep.py")
     assert [f.rule_id for f in findings] == ["API02"]
 
@@ -319,14 +292,14 @@ def test_api02_dunders_and_outsiders_are_exempt(tmp_path):
         """, PrivateImportRule(), name="repro/mod.py")
     assert inside == []
     outside = lint_source(tmp_path, """\
-        from repro.experiments.sweep import _sweep_compare
+        from repro.experiments.sweep import _solo_variant
         """, PrivateImportRule(), name="external/mod.py")
     assert outside == []
 
 
 def test_api02_noqa_suppression(tmp_path):
     findings = lint_source(tmp_path, """\
-        from repro.experiments.sweep import _sweep_compare  # noqa: API02
+        from repro.experiments.sweep import _solo_variant  # noqa: API02
         """, PrivateImportRule(), name="repro/mod.py")
     assert findings == []
 
@@ -551,10 +524,10 @@ def test_noqa_on_first_line_covers_wrapped_statement(tmp_path):
     # The finding (the lambda) sits two lines below the marker; the
     # suppression covers the whole physical statement span.
     findings = lint_source(tmp_path, """\
-        from repro.experiments import sweep_compare
+        from repro.experiments import sweep_grid
 
         def drive(mixes, designs, cfg):
-            return sweep_compare(  # noqa: PCK01 -- fixture
+            return sweep_grid(  # noqa: PCK01 -- fixture
                 mixes, designs, cfg,
                 on_result=lambda cell: cell)
         """, SweepPicklabilityRule())
@@ -591,7 +564,7 @@ def test_rules_by_id_specs():
     assert [type(r) for r in rules_by_id("DET01")] == [DeterminismRule]
     assert [r.rule_id for r in rules_by_id("style")] == [
         "STY01", "STY02", "STY03"]
-    assert len(rules_by_id("all")) == 14
+    assert len(rules_by_id("all")) == 13
     assert [type(r) for r in rules_by_id("seedflow")] == [SeedFlowRule]
     with pytest.raises(ValueError):
         rules_by_id("NOPE99")

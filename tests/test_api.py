@@ -1,9 +1,9 @@
 """Contract tests for the keyword-only ``repro.api`` facade.
 
 Covers: keyword-only enforcement, engine validation, fast/reference
-parity through the facade, the typed ``SweepResult``, deprecation
-warnings on every legacy shim, and the API-surface snapshot that fails
-when ``repro.api.__all__`` drifts from docs/api.md.
+parity through the facade, the typed ``SweepResult``, and the
+API-surface snapshot that fails when ``repro.api.__all__`` drifts from
+docs/api.md.
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ def test_sweep_returns_typed_result():
     gm = res.geomean_speedups()
     assert gm["baseline"] == pytest.approx(1.0)
     rows = res.rows()
-    assert {r["design"] for r in rows} == {"baseline", "waypart"}
-    assert {"cycles_cpu", "cycles_gpu", "speedup_cpu", "speedup_gpu",
-            "weighted_speedup"} <= set(rows[0])
+    assert {r.design for r in rows} == {"baseline", "waypart"}
+    assert rows[0].cycles_cpu > 0 and rows[0].weighted_speedup > 0
     assert res.stats.completed == len(rows)
 
 
@@ -90,33 +89,6 @@ def test_corun_reports_unified_keys():
     assert {"slowdown_cpu", "slowdown_gpu", "corun_cycles_cpu",
             "corun_cycles_gpu"} == set(sd)
     assert sd["slowdown_cpu"] > 0.8
-
-
-@pytest.mark.parametrize("call", [
-    lambda mix: __import__("repro.experiments.runner",
-                           fromlist=["run_mix"]).run_mix("baseline", mix),
-    lambda mix: __import__("repro.experiments.runner",
-                           fromlist=["compare_designs"]).compare_designs(
-                               mix, ("waypart",)),
-    lambda mix: __import__("repro.experiments.runner",
-                           fromlist=["corun_slowdowns"]).corun_slowdowns(mix),
-    lambda mix: __import__("repro.experiments.sweep",
-                           fromlist=["sweep_compare"]).sweep_compare(
-                               [mix], ("waypart",)),
-    lambda mix: __import__("repro.experiments.sweep",
-                           fromlist=["sweep_corun"]).sweep_corun([mix]),
-])
-def test_legacy_entry_points_warn_and_delegate(call):
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        call(tiny_mix())
-
-
-def test_deprecated_simresult_aliases_warn():
-    res = api.simulate(mix=tiny_mix(), design="baseline")
-    with pytest.warns(DeprecationWarning, match="cycles_cpu"):
-        assert res.cpu_cycles == res.cycles_cpu
-    with pytest.warns(DeprecationWarning, match="cycles_gpu"):
-        assert res.gpu_cycles == res.cycles_gpu
 
 
 # The snapshot half: the facade surface is frozen here AND must be

@@ -14,6 +14,8 @@ import check_all  # noqa: E402 - path set up above
 
 
 def test_gate_selection():
+    assert list(check_all.GATES) == ["pytest", "lint", "lint-aux", "docs",
+                                     "bench", "ruff", "mypy"]
     assert check_all.select_gates(None, None) == list(check_all.GATES)
     assert check_all.select_gates("lint,docs", None) == ["lint", "docs"]
     assert "pytest" not in check_all.select_gates(None, "pytest")

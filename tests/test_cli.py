@@ -47,11 +47,23 @@ def test_run_custom_mix(capsys):
     assert res["mix"] == "gcc-xz:lud"
 
 
+#: ``repro compare`` argv -> designs its table must list.  The kvcache
+#: row drives the LLM workload family and the kv-* placement baselines
+#: through the batch engine.
+COMPARE_CASES = (
+    (("--mix", "C1", "--scale", "0.05", "--designs", "waypart"),
+     ("baseline", "waypart")),
+    (("--mix", "kvcache", "--designs", "hydrogen,kv-windowpin,kv-tokenlru",
+      "--engine", "batch", "--scale", "0.05", "--no-cache"),
+     ("baseline", "hydrogen", "kv-windowpin", "kv-tokenlru")),
+)
+
+
 def test_compare_table(capsys):
-    code, out = run_cli(capsys, "compare", "--mix", "C1", "--scale", "0.05",
-                        "--designs", "waypart")
-    assert code == 0
-    assert "baseline" in out and "waypart" in out
+    for argv, designs in COMPARE_CASES:
+        code, out = run_cli(capsys, "compare", *argv)
+        assert code == 0
+        assert all(d in out for d in designs), out
 
 
 def test_sweep_command_and_cache(capsys, tmp_path):

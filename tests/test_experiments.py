@@ -9,14 +9,10 @@ from repro.experiments.designs import (ALL_DESIGNS, FIG5_DESIGNS,
                                        design_config, make_policy)
 from repro.experiments.report import (PERF_HEADERS, format_table,
                                       perf_csv_rows, to_csv)
-from repro.experiments.runner import (compare_designs, corun_slowdowns,
-                                      env_scale, geomean, run_mix,
+from repro.experiments.runner import (compare_on_mix, corun_metrics,
+                                      env_scale, geomean, run_design,
                                       weighted_speedup)
 from repro.traces.mixes import build_mix
-
-# These tests intentionally exercise the deprecated free-function shims
-# (the supported facade is covered in test_api.py).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 CFG = default_system()
 
@@ -47,22 +43,22 @@ def test_design_config_hashcache_geometry():
 
 
 def test_weighted_speedup_math():
-    base = run_mix("baseline", tiny(), CFG)
-    res = run_mix("baseline", tiny(), CFG)
+    base = run_design("baseline", tiny(), CFG)
+    res = run_design("baseline", tiny(), CFG)
     combo = weighted_speedup(res, base, 12.0, 1.0)
     assert combo.weighted_speedup == pytest.approx(1.0)
     assert combo.speedup_cpu == pytest.approx(1.0)
 
 
 def test_compare_designs_normalizes_to_baseline():
-    out = compare_designs(tiny(), ("waypart",), CFG)
+    out = compare_on_mix(tiny(), ("waypart",), CFG)
     assert out["baseline"].weighted_speedup == pytest.approx(1.0)
     assert "waypart" in out
     assert out["waypart"].result.policy == "waypart"
 
 
 def test_corun_slowdowns_positive():
-    sd = corun_slowdowns(tiny(), CFG)
+    sd = corun_metrics(tiny(), CFG)
     assert sd["slowdown_cpu"] > 0.8
     assert sd["slowdown_gpu"] > 0.8
 
@@ -74,7 +70,7 @@ def test_corun_slowdowns_gpu_only_mix():
 
     from repro.traces.mixes import gpu_only
 
-    sd = corun_slowdowns(gpu_only(tiny()), CFG)
+    sd = corun_metrics(gpu_only(tiny()), CFG)
     assert math.isnan(sd["slowdown_cpu"])
     assert sd["slowdown_gpu"] == pytest.approx(1.0, abs=0.05)
     assert sd["corun_cycles_cpu"] is None
@@ -86,7 +82,7 @@ def test_corun_slowdowns_cpu_only_mix():
 
     from repro.traces.mixes import cpu_only
 
-    sd = corun_slowdowns(cpu_only(tiny()), CFG)
+    sd = corun_metrics(cpu_only(tiny()), CFG)
     assert math.isnan(sd["slowdown_gpu"])
     assert sd["slowdown_cpu"] == pytest.approx(1.0, abs=0.05)
 
@@ -128,7 +124,7 @@ def test_format_table_alignment():
 
 def test_perf_csv_roundtrip(tmp_path):
     mix = tiny()
-    base = run_mix("baseline", mix, CFG)
+    base = run_design("baseline", mix, CFG)
     combo = weighted_speedup(base, base, 12.0, 1.0)
     rows = perf_csv_rows({"baseline": {"C1": combo}})
     path = str(tmp_path / "perf.csv")

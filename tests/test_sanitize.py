@@ -11,7 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro import api
+from repro.api import coerce_mix
+from repro.cli import main
 from repro.engine.simulator import Simulation
+from repro.experiments.runner import run_design
 from repro.sanitize import (NULL_SANITIZER, BoundaryRecord, DivergenceError,
                             NullSanitizer, StateRecorder, first_divergence,
                             sanitize_compare)
@@ -19,25 +22,34 @@ from repro.sanitize import (NULL_SANITIZER, BoundaryRecord, DivergenceError,
 SCALE = 0.02
 
 
+#: Designs replayed by the zero-divergence check: the paper's mechanism
+#: and a static way-partitioning baseline.
+DESIGNS = ("hydrogen", "waypart")
+
+
 def _records(engine: str, recorder: StateRecorder,
              mix: str = "C1", design: str = "hydrogen") -> StateRecorder:
-    from repro.api import _coerce_mix
-    from repro.experiments.runner import _run_mix
-
-    built = _coerce_mix(mix, SCALE, 7)
-    _run_mix(design, built, None, native_geometry=True, engine=engine,
-             sanitize=recorder)
+    built = coerce_mix(mix, SCALE, 7)
+    run_design(design, built, None, native_geometry=True, engine=engine,
+               sanitize=recorder)
     return recorder
 
 
-def test_fast_and_batch_record_zero_divergences():
-    reports = sanitize_compare(mix="C1", design="hydrogen",
-                               engines=("fast", "batch"), scale=SCALE)
-    assert [r.engine for r in reports] == ["fast", "batch"]
-    for r in reports:
-        assert r.ok, r.divergence.format()
-        assert r.boundaries > 0
-        assert r.mix == "C1" and r.design == "hydrogen"
+def test_fast_and_batch_record_zero_divergences(capsys):
+    for design in DESIGNS:
+        reports = sanitize_compare(mix="C1", design=design,
+                                   engines=("fast", "batch"), scale=SCALE)
+        assert [r.engine for r in reports] == ["fast", "batch"]
+        for r in reports:
+            assert r.ok, r.divergence.format()
+            assert r.boundaries > 0
+            assert r.mix == "C1" and r.design == design
+    # The same matrix through the `repro sanitize` CLI.
+    code = main(["sanitize", "--mix", "C1", "--designs", ",".join(DESIGNS),
+                 "--engines", "fast,batch", "--scale", str(SCALE)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.count("0 divergences") == 2 * len(DESIGNS), out
 
 
 class _PerturbingRecorder(StateRecorder):

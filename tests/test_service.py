@@ -23,7 +23,7 @@ from repro.experiments.resilience import SweepReport
 from repro.service import (CampaignSpec, CellKey, CellRow, FairQueue,
                            HealthReport, JobStatus, Journal, PRIORITIES,
                            SchemaError, ServiceClient, ServiceError)
-from repro.service.schema import CELL_ROW_FIELDS, SCHEMA_VERSION
+from repro.service.schema import SCHEMA_VERSION
 from repro.service.journal import resolve_journal
 from repro.service.server import ServiceHandle, serve_in_thread
 
@@ -62,20 +62,6 @@ def test_cell_row_nan_maps_to_none_on_the_wire():
     again = CellRow.from_json(wire)
     assert math.isnan(again.speedup_cpu)
     assert again.cycles_cpu is None
-
-
-def test_cell_row_dict_access_warns_but_works():
-    row = sample_row()
-    with pytest.warns(DeprecationWarning, match="attribute access"):
-        assert row["design"] == "waypart"
-    with pytest.warns(DeprecationWarning):
-        assert set(row) == set(CELL_ROW_FIELDS)
-    with pytest.warns(DeprecationWarning):
-        assert row.get("nope", 42) == 42
-    assert "weighted_speedup" in row          # __contains__ stays silent
-    with pytest.raises(KeyError):
-        with pytest.warns(DeprecationWarning):
-            row["not_a_field"]
 
 
 def test_newer_schema_version_is_rejected():

@@ -6,15 +6,11 @@ import pytest
 
 from repro.config import default_system
 from repro.experiments.cache import SweepCache, resolve_cache, stable_key
-from repro.experiments.runner import compare_designs, corun_slowdowns
+from repro.experiments.designs import make_policy
+from repro.experiments.runner import compare_on_mix, corun_metrics
 from repro.experiments.sweep import (MixSpec, SweepEngine, SweepJob,
-                                     resolve_workers, sweep_compare,
-                                     sweep_corun)
+                                     corun_grid, resolve_workers, sweep_grid)
 from repro.traces.mixes import build_mix
-
-# The legacy free functions stay covered here on purpose; the facade has
-# its own suite in test_api.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 CFG = default_system()
 
@@ -255,7 +251,7 @@ def test_progress_callback_emits_lines():
 # ------------------------------------------------------------ sweep drivers
 
 def test_sweep_compare_layout_and_baseline_normalization():
-    out = sweep_compare([spec()], ("waypart",), CFG)
+    out = sweep_grid([spec()], ("waypart",), CFG)
     assert list(out) == ["baseline", "waypart"]
     assert out["baseline"]["C1"].weighted_speedup == pytest.approx(1.0)
     assert out["waypart"]["C1"].result.policy == "waypart"
@@ -263,17 +259,18 @@ def test_sweep_compare_layout_and_baseline_normalization():
 
 def test_sweep_compare_matches_compare_designs():
     mix = build_mix("C1", seed=4, **TINY)
-    legacy = compare_designs(mix, ("waypart",), CFG)
-    swept = sweep_compare([spec()], ("waypart",), CFG)
+    single = compare_on_mix(mix, ("waypart",), CFG)
+    swept = sweep_grid([spec()], ("waypart",), CFG)
     for d in ("baseline", "waypart"):
-        assert legacy[d].weighted_speedup == pytest.approx(
+        assert single[d].weighted_speedup == pytest.approx(
             swept[d]["C1"].weighted_speedup)
 
 
 def test_sweep_corun_matches_serial_corun():
     mix = build_mix("C1", seed=4, **TINY)
-    serial = corun_slowdowns(mix, CFG)
-    swept = sweep_corun([spec()], CFG)["C1"]
+    # A policy factory takes corun_metrics' serial in-process path.
+    serial = corun_metrics(mix, CFG, lambda: make_policy("baseline"))
+    swept = corun_grid([spec()], CFG)["C1"]
     assert swept["slowdown_cpu"] == pytest.approx(serial["slowdown_cpu"])
     assert swept["slowdown_gpu"] == pytest.approx(serial["slowdown_gpu"])
 
@@ -281,8 +278,8 @@ def test_sweep_corun_matches_serial_corun():
 def test_compare_designs_uses_cache(tmp_path):
     mix = build_mix("C1", seed=4, **TINY)
     cache = SweepCache(tmp_path)
-    a = compare_designs(mix, ("waypart",), CFG, cache=cache)
-    b = compare_designs(mix, ("waypart",), CFG, cache=cache)
+    a = compare_on_mix(mix, ("waypart",), CFG, cache=cache)
+    b = compare_on_mix(mix, ("waypart",), CFG, cache=cache)
     assert cache.hits == 2 and cache.stores == 2
     assert a["waypart"].weighted_speedup == pytest.approx(
         b["waypart"].weighted_speedup)
