@@ -5,8 +5,8 @@ a different order produces a different result, which is exactly the
 kind of last-bit divergence the bit-exact engine equivalence tests
 (and the divergence sanitizer's digests) turn into a hard failure.
 Iteration order of a ``set`` is salted per process, and dict insertion
-order can legitimately differ between the reference, fast, and batch
-engines — so any ``sum()`` / ``np.sum`` / ``math.fsum`` that folds
+order can legitimately differ between the reference and fast engines
+— so any ``sum()`` / ``np.sum`` / ``math.fsum`` that folds
 over such an iterable inside simulation state is a replay hazard.
 
 FLT01 flags, in modules feeding :class:`SimResult` or sanitizer

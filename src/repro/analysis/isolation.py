@@ -1,12 +1,13 @@
 """ISO01 — cross-cell state isolation rule.
 
-The lock-step batch engine's core guarantee is that each
-:class:`BatchCell` is bit-identical to a standalone fast-engine run;
-the one way to silently break it is state shared *between* cells —
-a module-level container one cell mutates and another reads, or a
-class-level mutable attribute every instance aliases.  ISO01 statically
-bans those shapes in the engine-core modules (``engine/batch.py``,
-``engine/fastpath.py``, and everything under ``hybrid/``):
+Cells run back to back in one process — a serial sweep, the campaign
+server's executor, a worker of the sweep pool — and each must still be
+bit-identical to a standalone run.  The one way to silently break that
+is state that outlives a cell: a module-level container one cell
+mutates and the next reads, or a class-level mutable attribute every
+instance aliases.  ISO01 statically bans those shapes in the
+engine-core modules (``engine/batch.py``, ``engine/fastpath.py``, and
+everything under ``hybrid/``):
 
 * module-level assignment of a mutable container (list/dict/set/...);
 * class-level mutable attribute in a class body (shared by instances);
@@ -72,8 +73,8 @@ class StateIsolationRule(Rule):
     description = ("engine-core modules (engine/batch.py, "
                    "engine/fastpath.py, hybrid/) must not create or "
                    "mutate module-level / class-level mutable containers "
-                   "— shared state aliases across BatchCells and breaks "
-                   "the lock-step engine's single-cell equivalence")
+                   "— shared state leaks from one cell into the next "
+                   "when cells run back to back in one process")
 
     def check(self, module: Module) -> Iterable[Finding]:
         if not _in_scope(module):
@@ -113,8 +114,8 @@ class StateIsolationRule(Rule):
         yield self.finding(
             module, stmt,
             f"module-level mutable container "
-            f"{', '.join(names) or '(unnamed)'}: shared across every "
-            f"cell in a batch; move it onto the simulation instance")
+            f"{', '.join(names) or '(unnamed)'}: shared by every cell "
+            f"the process runs; move it onto the simulation instance")
 
     def _check_class_body(self, module: Module,
                           cls: ast.ClassDef) -> Iterator[Finding]:
@@ -143,7 +144,7 @@ class StateIsolationRule(Rule):
                 yield self.finding(
                     module, node,
                     f"write to module-level {name!r} from function scope: "
-                    f"mutations alias across BatchCells; thread the state "
+                    f"mutations leak into the next cell; thread the state "
                     f"through the simulation instance")
 
     @staticmethod

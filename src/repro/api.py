@@ -3,9 +3,8 @@
 This module is the supported entry point for programmatic use.  Every
 function takes keyword-only arguments, accepts mixes by Table II name or
 as built :class:`~repro.traces.mixes.WorkloadMix` objects, and defaults
-to the vectorized fast-path engine; ``engine="batch"`` selects the
-fused-interpreter batch engine instead (both bit-exact with the
-reference event loop — see docs/api.md).
+to the fast engine, which is bit-exact with the reference event loop
+(see docs/api.md).
 
 Quick tour::
 
@@ -61,10 +60,9 @@ def simulate(*, mix: str | WorkloadMix, design: str = "hydrogen",
     ``None`` defers to ``$REPRO_SCALE``) or an already-built
     :class:`~repro.traces.mixes.WorkloadMix`.  ``design`` is a registry
     name or a policy instance.  ``engine`` selects the simulation core:
-    ``"fast"`` (the default) and ``"batch"`` (the fused-interpreter
-    batch engine of :mod:`repro.engine.batch`; a single simulation runs
-    as a one-cell batch) are both bit-exact with ``"reference"``;
-    ``None`` defers to ``$REPRO_ENGINE``.  ``sanitize=True`` replays
+    ``"fast"`` (the default, bit-exact with ``"reference"``; ``"batch"``
+    is its one-release alias) or ``"reference"``; ``None`` defers to
+    ``$REPRO_ENGINE``.  ``sanitize=True`` replays
     the run on the reference engine with boundary-state digests
     (:mod:`repro.sanitize`) and raises
     :class:`~repro.sanitize.DivergenceError` localizing the first
@@ -154,12 +152,9 @@ def sweep(*, mixes, designs: tuple[str, ...] = FIG5_DESIGNS,
     Mixes are names or built mixes; the whole grid (shared baselines
     included) goes through one :class:`~repro.experiments.sweep.
     SweepEngine` batch, so ``jobs`` fans cells out across processes and
-    ``cache`` recalls previously simulated cells from disk.  With
-    ``engine="batch"`` the engine hands whole shards of the grid to one
-    lock-step :class:`~repro.engine.batch.BatchSimulation` per worker
-    instead of dispatching cells one by one (bit-exact either way;
-    cached cells are shared across engines).  ``trace_dir`` streams one
-    telemetry JSONL per simulated cell.  Returns a :class:`SweepResult`.
+    ``cache`` recalls previously simulated cells from disk (cached cells
+    are shared across engines).  ``trace_dir`` streams one telemetry
+    JSONL per simulated cell.  Returns a :class:`SweepResult`.
 
     Resilience (docs/robustness.md): ``retry`` re-runs failed cells
     (an int retry count or a :class:`RetryPolicy`), ``job_timeout``

@@ -40,7 +40,7 @@ from repro import api, faults
 from repro.analysis import default_rules, rules_by_id, run_rules, sarif_json
 from repro.config import default_system, hbm3
 from repro.config_io import apply_overrides, config_from_json, config_to_json
-from repro.engine.simulator import ENGINES
+from repro.engine.simulator import ENGINES, resolve_engine
 from repro.experiments import figures
 from repro.experiments.cache import SweepCache, resolve_cache
 from repro.experiments.designs import ALL_DESIGNS, FIG5_DESIGNS
@@ -505,6 +505,8 @@ def cmd_sanitize(args) -> int:
         if eng not in ENGINES:
             raise SystemExit(f"repro sanitize: unknown engine {eng!r}; "
                              f"known: {ENGINES}")
+    # Aliases resolve first, so "fast,batch" replays the engine once.
+    engines = tuple(dict.fromkeys(resolve_engine(e) for e in engines))
     designs = tuple(d.strip() for d in args.designs.split(",") if d.strip())
     failures = 0
     for design in designs:
@@ -630,9 +632,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     def engine_opt(sp):
         sp.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="simulation core: 'fast' (vectorized, "
-                             "bit-exact) or 'reference' (default "
-                             "$REPRO_ENGINE or reference)")
+                        help="simulation core: 'fast' (bit-exact; "
+                             "'batch' is its alias) or 'reference' "
+                             "(default $REPRO_ENGINE or reference)")
 
     def sweep_opts(sp):
         sp.add_argument("--jobs", type=int, default=None,
@@ -775,9 +777,9 @@ def make_parser() -> argparse.ArgumentParser:
         "sanitize", help="replay engines with boundary-state digests and "
                          "localize the first divergence (docs/sanitize.md)")
     common(sp)
-    sp.add_argument("--engines", default="fast,batch",
+    sp.add_argument("--engines", default="fast",
                     help="comma-separated engines to check against the "
-                         "reference recording (default: fast,batch)")
+                         "reference recording (default: fast)")
     sp.add_argument("--designs", default="hydrogen",
                     help="comma-separated design names (default: hydrogen)")
     sp.set_defaults(fn=cmd_sanitize)
@@ -820,9 +822,9 @@ def make_parser() -> argparse.ArgumentParser:
                                       "(default: the Fig. 5 set)")
     sp.add_argument("--scale", type=float, default=0.05)
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--engine", choices=list(ENGINES), default="batch",
+    sp.add_argument("--engine", choices=list(ENGINES), default="fast",
                     help="engine the server runs the cells on "
-                         "(default batch)")
+                         "(default fast)")
     sp.add_argument("--priority", choices=sorted(PRIORITIES),
                     default="batch",
                     help="fair-queue class (weights: docs/service.md)")

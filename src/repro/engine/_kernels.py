@@ -1,10 +1,10 @@
-"""Optional compiled kernels for the batch engine.
+"""Optional compiled kernels for the fast engine.
 
 numba is an *optional* accelerator: when importable, the channel-queueing
 inner loop of :mod:`repro.engine.batch` runs through an ``@njit``-compiled
 bank-service kernel over a flat ``int64`` open-row array; when absent, the
-batch engine falls back to the pure-Python open-row list arithmetic it
-shares with the fast engine.  The selection happens **once, at import**
+fused interpreter falls back to the pure-Python open-row list arithmetic
+of the reference channel.  The selection happens **once, at import**
 (``HAVE_NUMBA``), never per call, and nothing in tier-1 requires numba.
 
 Both implementations are the same function body — the compiled variant is

@@ -1,11 +1,11 @@
-"""Batched lock-step simulation engine (bit-exact with the reference).
+"""The optimized simulation engine (bit-exact with the reference).
 
-The fast engine (:mod:`repro.engine.fastpath`) removes the reference
-loop's per-access *recomputation* but keeps its per-access *dispatch*: a
-generic ``fn(*args)`` trampoline plus a stack of method frames
-(``_on_response`` -> ``_pump`` -> ``fast_access`` -> ``_fast_lookup`` ->
-``submit`` -> ``_start2``) per reference, each re-loading the same
-controller attributes.  This module removes the dispatch too:
+``simulate(..., engine="fast")`` runs :class:`FastSimulation`: the
+state-bearing parts of :mod:`repro.engine.fastpath` (SoA trace columns,
+lazy channel releases, hash-consed geometry, specialization flags)
+driven by one fused interpreter instead of the reference's per-event
+trampoline and stack of method frames.  ``engine="batch"`` is a
+one-release alias of ``"fast"`` and builds the same class.
 
 * **Tagged heap events** — agent completions, channel releases, agent
   wakeups and remap-fill continuations are pushed as
@@ -13,32 +13,25 @@ controller attributes.  This module removes the dispatch too:
   ``(time, seq, fn, args)``.  Sequence numbers are globally unique, so
   tuple comparison never reaches the third element and the two shapes
   coexist in one heap; every tagged event occupies exactly the ``(time,
-  seq)`` key its fast/reference counterpart would, so the schedule is
+  seq)`` key its reference counterpart would, so the schedule is
   identical.
 * **A fused interpreter** (:func:`_advance_cell`) — one ``while`` loop
   pops events and runs the whole per-access chain as straight-line code
   with the cell's hot state (store index, geometry rows, remap LRU,
-  channel lists, specialization flags) held in locals, instead of six
-  method frames re-reading it from ``self`` per access.
-* **Lock-step multi-cell driver** (:class:`BatchSimulation`) — the only
-  events still carried as generic callables are the policy-visible
-  boundaries (epoch / faucet / phase ticks).  The interpreter yields to
-  the driver whenever one fires, and the driver round-robins many
-  (mix, design, config) cells — the real unit of traffic is the Fig. 5
-  *grid* — advancing each to its next boundary in turn.  Cells share
-  nothing but the memoized SoA trace columns
-  (:meth:`repro.traces.base.Trace.columns`), decoded once per
-  (trace, geometry) for the whole batch.
+  channel lists, specialization flags) held in locals.  The only events
+  still carried as generic callables are the policy-visible boundaries
+  (epoch / faucet / phase ticks, or anything a policy scheduled); the
+  interpreter runs each with the reference call pattern and returns to
+  :meth:`FastSimulation._drain`, which re-enters it with freshly loaded
+  state.
 * **Optional compiled channel kernel** — when numba is importable the
   channel-queueing inner loop's bank service runs through the
   ``@njit``-compiled kernel of :mod:`repro.engine._kernels` over a flat
   ``int64`` open-row array; otherwise the pure-Python open-row list
-  arithmetic of the fast channel is inlined.  Selected once at import,
-  never required.
+  arithmetic is inlined.  Selected once at import, never required.
 
-**Exactness guarantee:** same as the fast engine, and enforced by the
-same mechanism — every seq consumption (agent wakeups, channel release
-reservations, completions) follows the reference pattern, float
+**Exactness guarantee:** every seq consumption (agent wakeups, channel
+release reservations, completions) follows the reference pattern, float
 expressions keep the reference's operand order, and policy hooks are
 only inlined under the specialization flags computed by
 :class:`~repro.engine.fastpath.FastHybridController` (anything
@@ -49,17 +42,15 @@ against the reference loop for every design family.
 
 from __future__ import annotations
 
-import gc
 from heapq import heappop, heappush
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
-from repro.config import SystemConfig
 from repro.engine import _kernels
-from repro.engine.fastpath import (FastAgent, FastChannel,
-                                   FastHybridController, FastSimulation)
-from repro.engine.simulator import SimResult
+from repro.engine.fastpath import (FastAgent, FastChannel, FastEventQueue,
+                                   FastHybridController)
+from repro.engine.simulator import Simulation
 from repro.hybrid.policies.profess import P_LEVELS
 from repro.mem.device import MemoryDevice
 
@@ -69,7 +60,7 @@ _BANK_SERVICE = _kernels.bank_service if _kernels.HAVE_NUMBA else None
 
 _M64 = (1 << 64) - 1   # splitmix64 mask (inlined in the interpreter)
 
-# Tagged-event discriminators.  Stored where the fast engine stores the
+# Tagged-event discriminators, stored where the reference stores the
 # event callback; payload sits in the args slot.  Dispatched by the
 # fused interpreter, cheapest (most frequent) first.
 TAG_DONE = 1      # payload (agent, seq): an agent's demand access completed
@@ -80,12 +71,12 @@ TAG_LOOKUP = 4    # payload (klass, addr, block, set_id, is_write,
 
 
 class _BatchChannel(FastChannel):
-    """Fast channel carrying ``(tag, payload)`` completions.
+    """Lazy-release channel carrying ``(tag, payload)`` completions.
 
-    Identical queueing/timing/counter arithmetic and lazy-release
-    bookkeeping as :class:`FastChannel`; completions and releases are
-    pushed as tagged events for the fused interpreter.  The parameter
-    positions of :meth:`submit` match the fast channel's
+    The transfer path of :class:`FastChannel`'s state: completions are
+    pushed as tagged events for the fused interpreter, which also runs
+    every release inline (:data:`TAG_RELEASE`).  The parameter
+    positions of :meth:`submit` match the reference channel's
     ``(..., on_complete, extra)`` so background traffic routed through
     :meth:`MemoryDevice.submit` (swaps, writebacks — always completion-
     free) lands ``None`` in the ``tag`` slot, which is falsy like the
@@ -180,71 +171,6 @@ class _BatchChannel(FastChannel):
         else:
             eq._seq = s + 1
 
-    def _release(self) -> None:
-        qc, qg = self._qc, self._qg
-        pc = self.priority_class
-        if pc is not None:
-            hi = qc if pc == "cpu" else qg
-            lo = qg if hi is qc else qc
-            src = hi if hi else lo
-        else:
-            first, second = (qc, qg) if self._rr == "cpu" else (qg, qc)
-            if first:
-                self._rr = "gpu" if first is qc else "cpu"
-                src = first
-            else:
-                self._rr = "gpu" if second is qc else "cpu"
-                src = second
-        klass, nbytes, is_write, addr, tag, extra, submit_time, \
-            payload = src.popleft()
-        eq = self.eq
-        now = eq.now
-        row = addr // self._row_bytes
-        bank = row % self._nbanks
-        if _BANK_SERVICE is None:
-            rows = self._rows
-            cur = rows[bank]
-            if cur == row:
-                latency = self._t_cas
-            else:
-                rows[bank] = row
-                self._activations += 1
-                latency = self._t_rcd_cas
-                if cur is not None:
-                    latency += self._t_rp
-        else:
-            latency, activated = _BANK_SERVICE(
-                self._rows_arr, bank, row, self._t_cas, self._t_rcd_cas,
-                self._t_rp)
-            if activated:
-                self._activations += 1
-        burst = nbytes / self._bpc
-        if is_write:
-            self._bytes_written += nbytes
-        else:
-            self._bytes_read += nbytes
-        self._accesses += 1
-        self._queue_wait += now - submit_time
-        if klass == "cpu":
-            self._cb_cpu += nbytes
-        else:
-            self._cb_gpu += nbytes
-        self.busy_cycles += burst
-        s = eq._seq
-        tf = now + burst
-        self._t_free = tf
-        self._s_rel = s
-        if tag:
-            heappush(self._hp, (now + (latency + burst + extra + self._link),
-                                s + 1, tag, payload))
-            eq._seq = s + 2
-        else:
-            eq._seq = s + 1
-        if qc or qg:
-            heappush(self._hp, (tf, s, TAG_RELEASE, self))
-        else:
-            self._rel_pushed = False
-
 
 class _BatchDevice(MemoryDevice):
     """Memory tier built from :class:`_BatchChannel` servers."""
@@ -255,7 +181,7 @@ class _BatchDevice(MemoryDevice):
 class _BatchAgent(FastAgent):
     """Trace agent driven entirely by the fused interpreter.
 
-    Only the lifecycle entry differs from :class:`FastAgent`: the
+    Only the lifecycle entry differs from :class:`TraceAgent`: the
     initial pump is scheduled as a :data:`TAG_WAKE` event (consuming the
     same sequence number the reference's ``eq.schedule`` would), and all
     pumping/response handling happens inline in :func:`_advance_cell`.
@@ -274,26 +200,15 @@ class _BatchController(FastHybridController):
     """Fast controller whose access path lives in the fused interpreter.
 
     Inherits all the specialization flags, geometry machinery and
-    background-transfer paths; the per-access entry points are disabled
-    because batch cells' demand traffic must flow through
-    :func:`_advance_cell` (whose channel submissions carry tagged
-    completions, not callbacks).
+    background-transfer paths; its devices are built from
+    :class:`_BatchChannel` so demand completions arrive as tagged
+    events.
     """
 
     _device_cls = _BatchDevice
 
-    def fast_access(self, *a, **kw):  # pragma: no cover - guard
-        raise NotImplementedError(
-            "batch cells drive demand accesses through the fused "
-            "interpreter (repro.engine.batch._advance_cell)")
 
-    def _fast_lookup(self, *a, **kw):  # pragma: no cover - guard
-        raise NotImplementedError(
-            "batch cells drive demand accesses through the fused "
-            "interpreter (repro.engine.batch._advance_cell)")
-
-
-def _advance_cell(cell: "BatchCell") -> bool:
+def _advance_cell(cell: "FastSimulation") -> bool:
     """Run one cell's fused event loop up to its next boundary.
 
     Pops and interprets tagged events inline until a generic callable
@@ -302,12 +217,14 @@ def _advance_cell(cell: "BatchCell") -> bool:
     finishes (all agents measured / heap drained), or ``max_cycles`` is
     reached.  Returns ``True`` iff the cell is still live.
 
-    The body is a fusion of ``FastAgent._on_response``/``_pump`` and
-    ``FastHybridController.fast_access``/``_fast_lookup`` with the same
-    operands in the same order; see those for the line-by-line
-    semantics.  Mutable controller state that non-inlined code reads
-    (``eq.now``/``_seq``, the per-class counter dicts, ``_geo`` and its
-    generation) is kept live on the objects, never shadowed stale.
+    The body is a fusion of the reference's ``TraceAgent._on_response``/
+    ``_pump`` and ``HybridMemoryController.access``/``_lookup``/
+    ``_serve_hit``/``_serve_miss`` with the same operands in the same
+    order, specialized by the controller's flags; see those for the
+    line-by-line semantics.  Mutable controller state that non-inlined
+    code reads (``eq.now``/``_seq``, the per-class counter dicts,
+    ``_geo`` and its generation) is kept live on the objects, never
+    shadowed stale.
     """
     eq = cell.eq
     heap = eq._heap
@@ -645,7 +562,7 @@ def _advance_cell(cell: "BatchCell") -> bool:
             inflight += 1
             retired += (gap + 1.0) * scale
             arr[aseq % ilen] = now
-            # inline fast_access: remap-cache probe
+            # inline access: remap-cache probe
             cnt["accesses"] += 1
             set_id = sets[i]
             if set_id in lru:
@@ -795,8 +712,10 @@ def _advance_cell(cell: "BatchCell") -> bool:
                 if cell._remaining == 0:
                     return False
             elif tag == 2:                      # TAG_RELEASE
-                # Inlined _BatchChannel._release (same operands in the
-                # same order); only fires with a non-empty queue.
+                # Channel release, inlined: the reference's
+                # Channel._release + _start, with _BatchChannel._start2's
+                # operands in the same order.  Only materialized (hence
+                # only fires) with a non-empty queue.
                 ch = payload
                 qc = ch._qc
                 qg = ch._qg
@@ -871,105 +790,29 @@ def _advance_cell(cell: "BatchCell") -> bool:
         else:
             # Policy-visible boundary (epoch/faucet/phase tick or any
             # policy-scheduled callable): execute it with the reference
-            # call pattern, then yield to the lock-step driver.
+            # call pattern, then return to the driver loop.
             tag(*payload)
             return True
     return False
 
 
-class BatchCell(FastSimulation):
-    """One (mix, design, config) cell of a batch.
+class FastSimulation(Simulation):
+    """The optimized engine: a drop-in :class:`Simulation`.
 
-    A drop-in :class:`~repro.engine.simulator.Simulation` whose
-    components push tagged events; driven by :class:`BatchSimulation`
-    (a solo :meth:`run` wraps itself in a single-cell batch).
+    Built by ``simulate(..., engine="fast")`` (and by the ``"batch"``
+    alias).  Produces bit-exact ``Stats``/:class:`SimResult` values
+    versus the reference engine for any policy (see the module
+    docstring for the guarantee and :mod:`repro.engine.fastpath` for
+    its one contract).
     """
 
+    _eq_cls = FastEventQueue
     _controller_cls = _BatchController
 
     def _make_agent(self, name, trace, mlp, warmup_frac, instr_scale):
         return _BatchAgent(name, trace, mlp, self.eq, self.ctrl,
                            warmup_frac, instr_scale)
 
-    def run(self) -> SimResult:
-        return BatchSimulation([self]).run()[0]
-
-
-class BatchSimulation:
-    """Lock-step driver advancing many cells between policy boundaries.
-
-    Starts every cell's agents and boundary clocks exactly as
-    :meth:`Simulation.run` does, then round-robins the cells: each turn
-    runs one cell's fused interpreter (:func:`_advance_cell`) up to its
-    next policy-visible boundary.  Cells are fully independent — the
-    lock-step exists so a whole sweep shard can run in one interpreter
-    with shared trace decodes, not because cells communicate.
-
-    :meth:`run` raises the first cell failure (single-simulation
-    semantics); :meth:`run_isolated` confines a failure to its cell and
-    returns the exception in that cell's slot, which is what the sweep
-    engine's ``failures="collect"`` path needs.
-    """
-
-    def __init__(self, cells: Sequence[BatchCell]) -> None:
-        self.cells = list(cells)
-        if not self.cells:
-            raise ValueError("BatchSimulation needs at least one cell")
-
-    @classmethod
-    def from_specs(cls, specs: Iterable[tuple]) -> "BatchSimulation":
-        """Build cells from ``(cfg, policy, mix)`` or
-        ``(cfg, policy, mix, sim_kwargs)`` tuples."""
-        cells = []
-        for spec in specs:
-            cfg, policy, mix, *rest = spec
-            kw = rest[0] if rest else {}
-            cells.append(BatchCell(cfg, policy, mix, **kw))
-        return cls(cells)
-
-    def run(self) -> list[SimResult]:
-        return self._drive(isolate=False)
-
-    def run_isolated(self) -> list[SimResult | Exception]:
-        return self._drive(isolate=True)
-
-    def _drive(self, isolate: bool) -> list:
-        out: list = [None] * len(self.cells)
-        live: list[tuple[int, BatchCell]] = []
-        for i, cell in enumerate(self.cells):
-            ep = cell.cfg.epochs
-            for agent in cell.agents:
-                agent.start()
-            cell.eq.after(ep.epoch_cycles, cell._epoch_tick)
-            cell.eq.after(ep.faucet_cycles, cell._faucet_tick)
-            cell.eq.after(ep.phase_cycles, cell._phase_tick)
-            live.append((i, cell))
-        # The interpreter allocates only tuples that die in event order;
-        # cyclic garbage is not produced on the hot path, so collector
-        # sweeps over the (large, long-lived) heap/queue tuples are pure
-        # overhead while the batch runs.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while live:
-                nxt = []
-                for i, cell in live:
-                    try:
-                        if _advance_cell(cell):
-                            nxt.append((i, cell))
-                        else:
-                            out[i] = cell._result()
-                    except Exception as exc:
-                        if not isolate:
-                            raise
-                        out[i] = exc
-                live = nxt
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return out
-
-
-def simulate_batch(cfg: SystemConfig, policy, mix, **kw) -> SimResult:
-    """One-shot batch-engine runner (``simulate(..., engine="batch")``)."""
-    return BatchCell(cfg, policy, mix, **kw).run()
+    def _drain(self) -> None:
+        while _advance_cell(self):
+            pass

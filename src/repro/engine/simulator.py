@@ -85,7 +85,7 @@ class SimResult:
 class Simulation:
     """One co-run (or solo run) of a workload mix under a policy."""
 
-    #: Component classes; the fast engine (repro.engine.fastpath)
+    #: Component classes; the fast engine (repro.engine.batch)
     #: substitutes specialized, behavior-identical implementations.
     _controller_cls: type = HybridMemoryController
     _eq_cls: type = EventQueue
@@ -284,8 +284,12 @@ class Simulation:
         self.eq.after(ep.epoch_cycles, self._epoch_tick)
         self.eq.after(ep.faucet_cycles, self._faucet_tick)
         self.eq.after(ep.phase_cycles, self._phase_tick)
-        self.eq.run(until=self.max_cycles, stop=self._all_done)
+        self._drain()
         return self._result()
+
+    def _drain(self) -> None:
+        """Run events until every agent is measured or ``max_cycles``."""
+        self.eq.run(until=self.max_cycles, stop=self._all_done)
 
     def _result(self) -> SimResult:
         self.ctrl.flush_stats()
@@ -324,18 +328,24 @@ class Simulation:
         )
 
 
-#: Recognized engine names (``resolve_engine``).
+#: Recognized engine names (``resolve_engine``).  ``"batch"`` is a
+#: one-release alias of ``"fast"``: journals written by earlier servers
+#: and older callers still send it.
 ENGINES = ("reference", "fast", "batch")
 
 
 def resolve_engine(engine: str | None) -> str:
-    """Resolve an engine selector: an explicit name wins, then the
-    ``REPRO_ENGINE`` environment variable, then ``"reference"``."""
+    """Resolve an engine selector to ``"reference"`` or ``"fast"``.
+
+    An explicit name wins, then the ``REPRO_ENGINE`` environment
+    variable, then ``"reference"``; the ``"batch"`` alias resolves to
+    ``"fast"``.
+    """
     eng = engine if engine is not None else os.environ.get("REPRO_ENGINE")
     eng = eng or "reference"
     if eng not in ENGINES:
         raise ValueError(f"unknown engine {eng!r}; known: {ENGINES}")
-    return eng
+    return "fast" if eng == "batch" else eng
 
 
 def simulate(cfg: SystemConfig, policy: PartitionPolicy, mix: WorkloadMix,
@@ -343,17 +353,13 @@ def simulate(cfg: SystemConfig, policy: PartitionPolicy, mix: WorkloadMix,
     """Convenience one-shot runner.
 
     ``engine`` selects the simulation core: ``"reference"`` (the scalar
-    event loop), ``"fast"`` (the vectorized fast path) or ``"batch"``
-    (the fused-interpreter batch engine; on a single simulation it runs
-    as a one-cell batch) — both alternatives bit-exact with the
-    reference (see docs/api.md).  ``None`` defers to the
-    ``REPRO_ENGINE`` environment variable, defaulting to ``"reference"``.
+    event loop) or ``"fast"`` (the fused interpreter of
+    :mod:`repro.engine.batch`, bit-exact with the reference — see
+    docs/api.md; ``"batch"`` is its alias).  ``None`` defers to the
+    ``REPRO_ENGINE`` environment variable, defaulting to
+    ``"reference"``.
     """
-    eng = resolve_engine(engine)
-    if eng == "fast":
-        from repro.engine.fastpath import FastSimulation
+    if resolve_engine(engine) == "fast":
+        from repro.engine.batch import FastSimulation
         return FastSimulation(cfg, policy, mix, **kw).run()
-    if eng == "batch":
-        from repro.engine.batch import simulate_batch
-        return simulate_batch(cfg, policy, mix, **kw)
     return Simulation(cfg, policy, mix, **kw).run()

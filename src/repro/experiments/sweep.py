@@ -203,67 +203,6 @@ class SweepJob:
                 "sim_kw": kw}
 
 
-def _batch_shardable(job: SweepJob) -> bool:
-    """True when a job can join a lock-step batch shard.
-
-    Requires the ``engine="batch"`` selector in the job's ``sim_kw``
-    and no per-cell telemetry trace (the JSONL sink is wired by the
-    per-job path); anything else falls through to per-job execution.
-    """
-    return (dict(job.sim_kw).get("engine") == "batch"
-            and job.trace_dir is None)
-
-
-def _execute_batch_shard(jobs: "list[SweepJob]", attempts: "list[int]",
-                         timeout: float | None
-                         ) -> tuple[list, float]:
-    """Run many batch-engine jobs as one lock-step batched kernel.
-
-    Builds one :class:`~repro.engine.batch.BatchCell` per job and hands
-    the whole shard to :class:`~repro.engine.batch.BatchSimulation`,
-    which advances every cell between policy boundaries in one fused
-    interpreter with shared trace decodes.  Returns one outcome per job
-    (a :class:`SimResult`, or the ``Exception`` that cell raised —
-    failures are isolated per cell) plus the amortized per-cell wall
-    time.  ``timeout`` is a *per-cell* budget, applied to the shard as
-    ``timeout * len(jobs)`` (cells run interleaved, so a per-cell wall
-    clock does not exist inside a shard).
-    """
-    from repro.engine.batch import BatchCell, BatchSimulation
-    from repro.experiments.designs import design_config, make_policy
-
-    t0 = time.perf_counter()
-    budget = timeout * len(jobs) if timeout is not None else None
-    outcomes: list = [None] * len(jobs)
-    cells: list = []
-    slots: list[int] = []
-    with time_limit(budget, f"batch shard ({len(jobs)} cells)"):
-        for k, (job, attempt) in enumerate(zip(jobs, attempts)):
-            try:
-                faults.maybe_fault(job.label, attempt, timeout)
-                mix = (job.mix.build() if isinstance(job.mix, MixSpec)
-                       else job.mix)
-                kw = dict(job.sim_kw)
-                kw.pop("engine", None)
-                if isinstance(job.design, str):
-                    policy = make_policy(job.design)
-                    cfg = design_config(job.design, job.cfg,
-                                        job.native_geometry)
-                else:
-                    policy, cfg = job.design, job.cfg
-                cells.append(BatchCell(cfg, policy, mix, **kw))
-                slots.append(k)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                outcomes[k] = exc
-        for k, res in zip(slots, BatchSimulation(cells).run_isolated()
-                          if cells else ()):
-            outcomes[k] = res
-    dt = (time.perf_counter() - t0) / len(jobs)
-    return outcomes, dt
-
-
 def _execute_job(job: SweepJob, timeout: float | None = None,
                  attempt: int = 1) -> tuple[SimResult, float]:
     """Worker entry point: run one job, measuring its wall time.
@@ -341,7 +280,7 @@ class SweepEngine:
                 f"degrade_after must be >= 1, got {degrade_after}")
         self.degrade_after = degrade_after
         self.telemetry = telemetry if telemetry is not None else NULL_SINK
-        #: Optional shard hand-off hook: ``on_result(job, result, dt)``
+        #: Optional per-job hand-off hook: ``on_result(job, result, dt)``
         #: fires for every job that resolves — simulated, recalled from
         #: cache, or harvested after a pool death — as soon as the engine
         #: sees its result, in completion order.  The campaign server
@@ -429,8 +368,6 @@ class SweepEngine:
         counters = {"retries": 0, "requeued": 0, "pool_restarts": 0,
                     "degraded": 0}
 
-        pending = self._run_batch_pass(pending, attempts, failures,
-                                       counters, record)
         if self.workers > 1 and len(pending) > 1:
             self._run_pool(pending, attempts, failures, counters, record)
         else:
@@ -451,85 +388,6 @@ class SweepEngine:
         return report
 
     # -- execution backends ------------------------------------------------
-
-    def _run_batch_pass(self, pending, attempts, failures, counters,
-                        record) -> "list[SweepJob]":
-        """Hand ``engine="batch"`` jobs to lock-step batched kernels.
-
-        Eligible jobs (:func:`_batch_shardable`) are split into
-        ``workers`` interleaved shards, each executed as one
-        :class:`~repro.engine.batch.BatchSimulation` (in a process pool
-        when ``workers > 1``, in-process otherwise).  Per-cell failures
-        re-enter the ordinary retry/failure machinery: a retryable cell
-        is returned to the caller's queue and re-runs through the
-        per-job backends (which carry the full resilience semantics); an
-        exhausted one is recorded via :meth:`_fail`.  A shard-level
-        surprise (pool death, shard timeout) demotes that shard's jobs
-        to per-job execution rather than failing them.  Returns the jobs
-        the per-job backends still have to run.
-        """
-        shardable = [j for j in pending if _batch_shardable(j)]
-        if not shardable:
-            return pending
-        rest = [j for j in pending if not _batch_shardable(j)]
-        n_shards = min(self.workers, len(shardable))
-        shards = [shardable[i::n_shards] for i in range(n_shards)]
-        self._say(f"sweep: batching {len(shardable)} cell(s) into "
-                  f"{n_shards} lock-step shard(s)")
-
-        def harvest(shard, outcomes, dt):
-            for job, outcome in zip(shard, outcomes):
-                attempts[job] += 1
-                if isinstance(outcome, Exception):
-                    if self.retry.retryable(attempts[job]):
-                        self._note_retry(job, outcome, attempts[job],
-                                         counters)
-                        rest.append(job)
-                    else:
-                        self._fail(job, outcome, attempts[job], failures)
-                else:
-                    record(job, outcome, dt)
-
-        if n_shards == 1:
-            shard = shards[0]
-            try:
-                outcomes, dt = _execute_batch_shard(
-                    shard, [attempts[j] + 1 for j in shard],
-                    self.job_timeout)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:
-                # Shard-level failure (e.g. shard timeout): per-cell
-                # attribution is unknown, so re-run per job.
-                rest.extend(shard)
-            else:
-                harvest(shard, outcomes, dt)
-            return rest
-
-        with ProcessPoolExecutor(max_workers=n_shards) as pool:
-            futs = []
-            try:
-                for shard in shards:
-                    futs.append((pool.submit(
-                        _execute_batch_shard, shard,
-                        [attempts[j] + 1 for j in shard],
-                        self.job_timeout), shard))
-            except BrokenExecutor:
-                pass   # unsubmitted shards fall through below
-            submitted = set()
-            for fut, shard in futs:
-                submitted.update(shard)
-                try:
-                    outcomes, dt = fut.result()
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception:
-                    rest.extend(shard)
-                else:
-                    harvest(shard, outcomes, dt)
-            rest.extend(j for j in shardable
-                        if j not in submitted and j not in rest)
-        return rest
 
     def _run_serial(self, queue, attempts, failures, counters,
                     record) -> None:

@@ -1,7 +1,7 @@
 """Divergence sanitizer: localize where two engines' states first differ.
 
 The engine-equivalence tests (``tests/test_fastpath_equiv.py``) can say
-*that* the reference, fast, and batch engines diverged — a mismatched
+*that* the reference and fast engines diverged — a mismatched
 ``SimResult`` at the end of a run — but not *where*: which epoch, which
 channel, which component first went its own way.  This module adds an
 opt-in instrumentation layer that answers exactly that question:
@@ -122,8 +122,8 @@ class StateRecorder:
 
 #: Request-tuple slots meaningful across engines: (klass, nbytes,
 #: is_write, addr, extra, submit_time).  Slot 4 is the completion
-#: callback (reference/fast) or event tag (batch); slot 7, when present,
-#: is the fast/batch callback argument payload.  Both are engine-private.
+#: callback (reference) or event tag (fast); slot 7, when present, is
+#: the fast engine's event payload.  Both are engine-private.
 _CANON_REQ = (0, 1, 2, 3, 5, 6)
 
 
@@ -147,7 +147,7 @@ def _canon_queue(ch: Any) -> tuple:
     queues = getattr(ch, "_queues", None)
     if queues is not None:                       # reference Channel
         qc, qg = queues["cpu"], queues["gpu"]
-    else:                                        # fast / batch channel
+    else:                                        # fast channel
         qc, qg = ch._qc, ch._qg
     return tuple(tuple(_canon_req(req) for req in q) for q in (qc, qg))
 
@@ -155,7 +155,7 @@ def _canon_queue(ch: Any) -> tuple:
 def _canon_rows(ch: Any) -> tuple:
     """Open-row state per bank; -1 encodes a precharged bank."""
     arr = getattr(ch, "_rows_arr", None)
-    if arr is not None:                          # batch numba path
+    if arr is not None:                          # compiled-kernel path
         return tuple(int(x) for x in arr)
     return tuple(-1 if row is None else row for row in ch._rows)
 

@@ -4,8 +4,8 @@ The package turns the resilient :class:`~repro.experiments.sweep.
 SweepEngine` into a serving tier: :mod:`repro.service.schema` defines
 the versioned result vocabulary (``CellRow``) shared by ``api.sweep``
 rows, ``perf.csv``, and the wire; :mod:`repro.service.server` is a
-stdlib-only HTTP/1.1 campaign server that shards cells across the
-worker pool, deduplicates identical cells across concurrent clients,
+stdlib-only HTTP/1.1 campaign server that runs cells on the sweep
+engine's worker pool, deduplicates identical cells across concurrent clients,
 and streams per-cell rows as JSONL; :mod:`repro.service.queue` adds
 weighted-fair priority queueing; :mod:`repro.service.journal` is the
 write-ahead job journal that makes accepted campaigns survive crashes

@@ -169,7 +169,8 @@ class CampaignSpec:
 
     ``mixes`` are Table II / kvcache family names; the server builds
     them at ``scale`` / ``seed``.  ``engine`` picks the simulation core
-    (``"batch"`` shards whole grids per worker); ``priority`` selects
+    (``"batch"`` is accepted as an alias of ``"fast"``, so journals
+    written by earlier servers still replay); ``priority`` selects
     the fair-queue class (``"interactive"`` outweighs ``"batch"`` —
     see docs/service.md); ``failures`` is the client-visible policy:
     the server always runs the engine under ``"collect"`` so a stream
@@ -181,7 +182,7 @@ class CampaignSpec:
     designs: tuple[str, ...]
     scale: float = 0.05
     seed: int = 7
-    engine: str = "batch"
+    engine: str = "fast"
     priority: str = "batch"
     failures: str = "collect"
     native_geometry: bool = True

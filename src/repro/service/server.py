@@ -26,7 +26,7 @@ rows bit-identical to an uninterrupted run (stream clients resume with
 ``?from=N``).  Admission control (``max_queued_cells`` -> 429 +
 ``Retry-After``) bounds the backlog, and :meth:`CampaignServer.drain`
 implements graceful shutdown: stop admitting, finish the in-flight
-lock-step batch, flush live streams, exit — with data loss (journal
+engine batch, flush live streams, exit — with data loss (journal
 disabled, or no journal and unfinished work) surfaced through
 :attr:`CampaignServer.data_loss` and a nonzero ``repro serve`` exit.
 
@@ -51,8 +51,9 @@ engine is not reentrant); fairness comes from draining the queue at
 most ``batch_cells`` cells per batch, so an interactive campaign
 arriving behind a heavy one is served in the next batch rather than
 after the whole backlog.  The engine runs in a worker thread
-(``run_in_executor``); per-cell delivery hops back onto the loop via
-``call_soon_threadsafe`` from the engine's ``on_result`` /
+(``run_in_executor``) and simulates each cell on its own, so rows
+stream as each cell finishes: per-cell delivery hops back onto the
+loop via ``call_soon_threadsafe`` from the engine's ``on_result`` /
 ``on_failure`` hooks.
 """
 

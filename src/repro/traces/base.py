@@ -68,14 +68,14 @@ class TraceColumns:
     columns.  ``klass`` and the 64 B demand size are trace-level
     constants, not per-access columns.
 
-    All columns are built **once** with vectorized NumPy and cached on
-    the :class:`Trace` (see :meth:`Trace.columns`), so a sweep that
-    replays the same trace under many designs/configs — the Fig. 5 grid
-    — decodes it a single time instead of once per cell.  The
-    ``*_list`` twins are plain-list views of the same columns for the
-    CPython interpreter loops, where scalar list indexing beats NumPy
-    scalar indexing several-fold; a compiled kernel (numba) consumes
-    the NumPy buffers directly.
+    All columns are built **once** per trace object and geometry with
+    vectorized NumPy and cached on the :class:`Trace` (see
+    :meth:`Trace.columns`), so simulations that replay the same
+    ``Trace`` object share one decode.  A sweep builds a fresh mix per
+    cell, so there each cell decodes its own traces.  The ``*_list``
+    twins are plain-list views of the same columns for the CPython
+    interpreter loop, where scalar list indexing beats NumPy scalar
+    indexing several-fold.
     """
 
     __slots__ = ("addr", "is_write", "gap", "block", "set_id",
@@ -126,8 +126,8 @@ class Trace:
         """The memoized :class:`TraceColumns` SoA for one geometry.
 
         Cached per ``(block_bytes, num_sets)`` on this trace instance, so
-        every simulation cell replaying the trace under the same cache
-        geometry shares one decode (the arrays must be treated as
+        every simulation replaying this trace object under the same
+        cache geometry shares one decode (the arrays must be treated as
         immutable, which every engine honors).
         """
         key = (block_bytes, num_sets)

@@ -6,8 +6,8 @@ values of previous tokens across every layer, and that KV cache must be
 split between scarce fast memory and a capacity tier while a host CPU
 agent contends for the same channels (cf. the Grace-Hopper system-memory
 study in PAPERS.md).  This module generates that reference stream as a
-standard :class:`~repro.traces.base.Trace`, so the reference, fast-path
-and batch engines replay it unmodified.
+standard :class:`~repro.traces.base.Trace`, so the reference and fast
+engines replay it unmodified.
 
 The generator models, deterministically from the seed:
 

@@ -61,7 +61,7 @@ def test_sweep_engine_batch_matches_fast():
               scale=0.02, jobs=1)
     fast = api.sweep(engine="fast", **kw)
     batch = api.sweep(engine="batch", **kw)
-    assert batch.grid == fast.grid  # whole-shard lock-step, bit-exact
+    assert batch.grid == fast.grid  # "batch" is an alias of "fast"
     assert batch.ok and fast.ok
 
 

@@ -49,12 +49,12 @@ def test_run_custom_mix(capsys):
 
 #: ``repro compare`` argv -> designs its table must list.  The kvcache
 #: row drives the LLM workload family and the kv-* placement baselines
-#: through the batch engine.
+#: through the fast engine.
 COMPARE_CASES = (
     (("--mix", "C1", "--scale", "0.05", "--designs", "waypart"),
      ("baseline", "waypart")),
     (("--mix", "kvcache", "--designs", "hydrogen,kv-windowpin,kv-tokenlru",
-      "--engine", "batch", "--scale", "0.05", "--no-cache"),
+      "--engine", "fast", "--scale", "0.05", "--no-cache"),
      ("baseline", "hydrogen", "kv-windowpin", "kv-tokenlru")),
 )
 
@@ -64,6 +64,15 @@ def test_compare_table(capsys):
         code, out = run_cli(capsys, "compare", *argv)
         assert code == 0
         assert all(d in out for d in designs), out
+
+
+def test_engine_batch_alias_prints_the_fast_output(capsys):
+    argv = ("run", "--mix", "kvcache", "--design", "kv-windowpin",
+            "--scale", "0.05", "--engine")
+    fast = run_cli(capsys, *argv, "fast")
+    alias = run_cli(capsys, *argv, "batch")
+    assert fast[0] == 0
+    assert alias == fast
 
 
 def test_sweep_command_and_cache(capsys, tmp_path):

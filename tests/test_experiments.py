@@ -50,20 +50,20 @@ def test_weighted_speedup_math():
     assert combo.speedup_cpu == pytest.approx(1.0)
 
 
-def test_compare_designs_normalizes_to_baseline():
+def test_compare_on_mix_normalizes_to_baseline():
     out = compare_on_mix(tiny(), ("waypart",), CFG)
     assert out["baseline"].weighted_speedup == pytest.approx(1.0)
     assert "waypart" in out
     assert out["waypart"].result.policy == "waypart"
 
 
-def test_corun_slowdowns_positive():
+def test_corun_metrics_positive():
     sd = corun_metrics(tiny(), CFG)
     assert sd["slowdown_cpu"] > 0.8
     assert sd["slowdown_gpu"] > 0.8
 
 
-def test_corun_slowdowns_gpu_only_mix():
+def test_corun_metrics_gpu_only_mix():
     """Regression: a mix with no CPU traces used to raise on the missing
     solo run instead of reporting NaN for the absent class."""
     import math
@@ -77,7 +77,7 @@ def test_corun_slowdowns_gpu_only_mix():
     assert sd["corun_cycles_gpu"] > 0
 
 
-def test_corun_slowdowns_cpu_only_mix():
+def test_corun_metrics_cpu_only_mix():
     import math
 
     from repro.traces.mixes import cpu_only

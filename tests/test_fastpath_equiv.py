@@ -1,14 +1,14 @@
-"""Golden bit-exact equivalence: fast and batch engines vs reference.
+"""Golden bit-exact equivalence: the fast engine vs the reference.
 
-The fast path's contract is *bit-exact replay* — not approximate
+The fast engine's contract is *bit-exact replay* — not approximate
 agreement — so every comparison here is full ``SimResult`` dataclass
 equality (cycles, IPCs, the whole stats dict, energy, per-agent metrics,
 policy end state, epoch log).  The grid covers the inlined policy fast
-paths (baseline/hashcache/profess/waypart/hydrogen) plus a custom policy
-subclass that forces every delegate fallback, and the same contract is
-enforced for the lock-step batch engine: mixed cell shapes sharing one
-:class:`~repro.engine.batch.BatchSimulation`, warmup-boundary variants,
-single-cell batch == fastpath, and the numba-absent kernel fallback.
+paths (baseline/hashcache/profess/waypart/hydrogen), the kv-* placement
+baselines, a custom policy subclass that forces every delegate
+fallback, warmup-boundary and seed variants, mixed cell shapes run back
+to back in one process, the ``"batch"`` alias, and both the
+numba-absent and numba-present kernel selections.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import types
 import pytest
 
 from repro.config import default_system
-from repro.engine.batch import BatchCell, BatchSimulation
-from repro.engine.fastpath import FastSimulation
+import repro.engine.batch as batch_engine
+from repro.engine.batch import FastSimulation
 from repro.engine.simulator import Simulation, simulate
 from repro.experiments.designs import design_config, make_policy
 from repro.hybrid.policies.hashcache import HAShCachePolicy
@@ -37,55 +37,49 @@ DESIGNS = ("baseline", "hashcache", "profess", "waypart",
 
 
 def run_engines(design, mix_name="C1", seed=7, sim_kw=None, **mix_kw):
-    """(reference, fast, batch) results of one cell, same inputs."""
+    """(reference, fast) results of one cell, same inputs."""
     mix = build_mix(mix_name, seed=seed, **{**TINY, **mix_kw})
     cfg = design_config(design, default_system())
     kw = sim_kw or {}
     ref = Simulation(cfg, make_policy(design), mix, **kw).run()
     fast = FastSimulation(cfg, make_policy(design), mix, **kw).run()
-    batch = BatchCell(cfg, make_policy(design), mix, **kw).run()
-    return ref, fast, batch
+    return ref, fast
 
 
 @pytest.mark.parametrize("design", DESIGNS)
 def test_bit_exact_per_design(design):
-    ref, fast, batch = run_engines(design)
+    ref, fast = run_engines(design)
     assert fast == ref
-    assert batch == ref
 
 
 @pytest.mark.parametrize("mix_name", ["C2", "C5", "C7", "C10"])
 def test_bit_exact_across_mixes(mix_name):
-    ref, fast, batch = run_engines("hydrogen", mix_name=mix_name)
+    ref, fast = run_engines("hydrogen", mix_name=mix_name)
     assert fast == ref
-    assert batch == ref
 
 
 #: The ported KV-cache placement baselines (repro.hybrid.policies.llm):
-#: every one overrides a hot hook, so the fast/batch engines must take
-#: their delegate-fallback paths and still replay bit-exactly.
+#: every one overrides a hot hook, so the fast engine must take their
+#: delegate-fallback paths and still replay bit-exactly.
 KV_DESIGNS = ("kv-windowpin", "kv-layersplit", "kv-tokenlru")
 
 
 @pytest.mark.parametrize("design", KV_DESIGNS + ("hydrogen", "baseline"))
 def test_bit_exact_kvcache_mix(design):
-    ref, fast, batch = run_engines(design, mix_name="kvcache")
+    ref, fast = run_engines(design, mix_name="kvcache")
     assert fast == ref
-    assert batch == ref
 
 
 def test_bit_exact_kvcache_variants():
     for mix_name in ("kvcache-prefill", "kvcache-batch"):
-        ref, fast, batch = run_engines("kv-windowpin", mix_name=mix_name)
+        ref, fast = run_engines("kv-windowpin", mix_name=mix_name)
         assert fast == ref
-        assert batch == ref
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_bit_exact_across_seeds(seed):
-    ref, fast, batch = run_engines("profess", seed=seed)
+    ref, fast = run_engines("profess", seed=seed)
     assert fast == ref
-    assert batch == ref
 
 
 class ChattyHAShCache(HAShCachePolicy):
@@ -126,11 +120,9 @@ def test_engine_kwarg_selects_fastpath(monkeypatch):
     assert via_kw == via_env == via_ref
 
 
-# -- batch engine ----------------------------------------------------------
-
-#: Heterogeneous cells for one lock-step batch: different designs,
-#: mixes, trace footprints, seeds and warmup boundaries, so no two cells
-#: agree on shape or on where their measurement windows open.
+#: Heterogeneous cells: different designs, mixes, trace footprints,
+#: seeds and warmup boundaries, so no two cells agree on shape or on
+#: where their measurement windows open.
 MIXED_CELLS = (
     ("hashcache", "C1", 7, dict(cpu_refs=900, gpu_refs=4000), {}),
     ("hydrogen", "C5", 3, dict(cpu_refs=1500, gpu_refs=7000), {}),
@@ -142,15 +134,24 @@ MIXED_CELLS = (
 )
 
 
-def test_batch_mixed_cells_one_lockstep_batch():
+def test_mixed_cells_back_to_back_match_standalone():
+    """Cells run one after another in one process (a serial sweep, the
+    service executor) must not leak state into each other: in either
+    order, every cell equals its standalone reference run."""
     cells, expect = [], []
     for design, mix_name, seed, shape, sim_kw in MIXED_CELLS:
         mix = build_mix(mix_name, seed=seed, **shape)
         cfg = design_config(design, default_system())
         expect.append(
             Simulation(cfg, make_policy(design), mix, **sim_kw).run())
-        cells.append(BatchCell(cfg, make_policy(design), mix, **sim_kw))
-    assert BatchSimulation(cells).run() == expect
+        cells.append((cfg, design, mix, sim_kw))
+    forward = list(range(len(cells)))
+    for order in (forward, forward[::-1]):
+        for i in order:
+            cfg, design, mix, sim_kw = cells[i]
+            got = FastSimulation(cfg, make_policy(design), mix,
+                                 **sim_kw).run()
+            assert got == expect[i], MIXED_CELLS[i][:2]
 
 
 @pytest.mark.parametrize("warmups", [
@@ -158,33 +159,38 @@ def test_batch_mixed_cells_one_lockstep_batch():
     dict(warmup_cpu=0.5, warmup_gpu=0.1),
 ])
 def test_batch_warmup_boundaries(warmups):
-    ref, fast, batch = run_engines("hydrogen", sim_kw=warmups)
+    ref, fast = run_engines("hydrogen", sim_kw=warmups)
     assert fast == ref
-    assert batch == ref
 
 
-def test_batch_single_cell_equals_fastpath():
+def test_batch_single_cell_equals_fastpath(monkeypatch):
+    """``engine="batch"`` is an alias: it builds the fast engine's
+    class and returns the same result."""
+    cls = batch_engine.FastSimulation
+    built = []
+    init = cls.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", spy)
     mix = build_mix("C1", seed=7, **TINY)
     cfg = design_config("hydrogen-dp", default_system())
-    fast = FastSimulation(cfg, make_policy("hydrogen-dp"), mix).run()
-    solo = BatchCell(cfg, make_policy("hydrogen-dp"), mix).run()
-    via_engine = simulate(cfg, make_policy("hydrogen-dp"), mix,
-                          engine="batch")
-    assert solo == fast
-    assert via_engine == fast
+    fast = simulate(cfg, make_policy("hydrogen-dp"), mix, engine="fast")
+    alias = simulate(cfg, make_policy("hydrogen-dp"), mix, engine="batch")
+    assert built == [cls, cls]
+    assert alias == fast
 
 
 def test_batch_custom_policy_delegate_paths():
-    mix = build_mix("C1", seed=7, **TINY)
+    """The delegate paths under the write-heavy KV-cache mix, reached
+    through the ``"batch"`` alias."""
+    mix = build_mix("kvcache", seed=7, **TINY)
     cfg = design_config("hashcache", default_system())
     ref = Simulation(cfg, ChattyHAShCache(), mix).run()
-    batch = BatchCell(cfg, ChattyHAShCache(), mix).run()
-    assert batch == ref
-
-
-def test_batch_rejects_empty():
-    with pytest.raises(ValueError, match="at least one cell"):
-        BatchSimulation([])
+    alias = simulate(cfg, ChattyHAShCache(), mix, engine="batch")
+    assert alias == ref
 
 
 def _reload_engine_modules():
@@ -217,7 +223,7 @@ def test_numba_absent_selects_pure_fallback():
         mix = build_mix("C1", seed=7, **TINY)
         cfg = design_config("hydrogen", default_system())
         ref = Simulation(cfg, make_policy("hydrogen"), mix).run()
-        cell = batch.BatchCell(cfg, make_policy("hydrogen"), mix)
+        cell = batch.FastSimulation(cfg, make_policy("hydrogen"), mix)
         assert cell.run() == ref
     finally:
         _restore_numba(had)
@@ -244,7 +250,7 @@ def test_numba_present_selects_compiled_kernel():
         mix = build_mix("C1", seed=7, **TINY)
         cfg = design_config("hydrogen", default_system())
         ref = Simulation(cfg, make_policy("hydrogen"), mix).run()
-        cell = batch.BatchCell(cfg, make_policy("hydrogen"), mix)
+        cell = batch.FastSimulation(cfg, make_policy("hydrogen"), mix)
         # the kernelized channels keep their int64 open-row tables
         assert all(ch._rows_arr is not None
                    for ch in (*cell.ctrl.fast.channels,

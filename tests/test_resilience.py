@@ -15,7 +15,7 @@ import pytest
 from repro import faults
 from repro.cli import main as cli_main
 from repro.config import default_system
-from repro.engine.fastpath import FastSimulation
+from repro.engine.batch import FastSimulation
 from repro.engine.simulator import Simulation, SimulationStalled, simulate
 from repro.experiments.cache import SweepCache
 from repro.experiments.resilience import (JobFailure, JobTimeout,

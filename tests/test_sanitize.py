@@ -1,7 +1,7 @@
 """Tests for repro.sanitize — the engine divergence sanitizer.
 
 Three guarantees: recording is observational (bit-identical results on
-and off), the fast/batch engines record zero divergences from the
+and off), the fast engine records zero divergences from the
 reference, and an artificially perturbed run is localized to the exact
 (boundary, component) where the perturbation happened.
 """
@@ -38,18 +38,19 @@ def _records(engine: str, recorder: StateRecorder,
 def test_fast_and_batch_record_zero_divergences(capsys):
     for design in DESIGNS:
         reports = sanitize_compare(mix="C1", design=design,
-                                   engines=("fast", "batch"), scale=SCALE)
-        assert [r.engine for r in reports] == ["fast", "batch"]
+                                   engines=("fast",), scale=SCALE)
+        assert [r.engine for r in reports] == ["fast"]
         for r in reports:
             assert r.ok, r.divergence.format()
             assert r.boundaries > 0
             assert r.mix == "C1" and r.design == design
-    # The same matrix through the `repro sanitize` CLI.
+    # The same matrix through the `repro sanitize` CLI: "batch" is an
+    # alias of "fast", so the pair replays the fast engine once.
     code = main(["sanitize", "--mix", "C1", "--designs", ",".join(DESIGNS),
                  "--engines", "fast,batch", "--scale", str(SCALE)])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert out.count("0 divergences") == 2 * len(DESIGNS), out
+    assert out.count("0 divergences") == len(DESIGNS), out
 
 
 class _PerturbingRecorder(StateRecorder):
@@ -103,9 +104,9 @@ def test_perturbed_channel_component_is_named():
 
 
 def test_sanitize_is_observational():
-    plain = api.simulate(mix="C1", design="hydrogen", engine="batch",
+    plain = api.simulate(mix="C1", design="hydrogen", engine="fast",
                          scale=SCALE)
-    checked = api.simulate(mix="C1", design="hydrogen", engine="batch",
+    checked = api.simulate(mix="C1", design="hydrogen", engine="fast",
                            scale=SCALE, sanitize=True)
     assert checked == plain  # bit-identical with the recorder attached
 

@@ -3,7 +3,7 @@
 The load-bearing claims, in test form: schema-v1 payloads round-trip
 bit-identically; the weighted-fair queue favors the interactive class
 by its configured weight; an in-process server streams rows that are
-*bit-identical* to ``api.sweep(engine="batch")``; overlapping
+*bit-identical* to ``api.sweep(engine="fast")``; overlapping
 concurrent campaigns share cells (the dedup counter fires); and a
 fault-injected campaign still completes its stream, with the failures
 accounted on the final :class:`~repro.service.schema.JobStatus`.
@@ -232,9 +232,9 @@ def test_health_endpoint(service):
 def test_concurrent_clients_bit_identical_and_deduped(service):
     """Two overlapping campaigns race; rows match api.sweep bit-for-bit."""
     spec_a = CampaignSpec(mixes=("C1", "C2"), designs=("waypart",),
-                          engine="batch", **TINY)
+                          **TINY)
     spec_b = CampaignSpec(mixes=("C1",), designs=("waypart", "hydrogen"),
-                          engine="batch", priority="interactive", **TINY)
+                          priority="interactive", **TINY)
     results: dict[str, tuple] = {}
 
     def run(tag: str, spec: CampaignSpec) -> None:
@@ -258,11 +258,11 @@ def test_concurrent_clients_bit_identical_and_deduped(service):
 
     # The streams must be bit-identical to the in-process facade.
     ref_a = api.sweep(mixes=["C1", "C2"], designs=("waypart",),
-                      engine="batch", cache=None, **TINY).rows()
+                      engine="fast", cache=None, **TINY).rows()
     assert sorted(rows_a, key=lambda r: (r.design, r.mix)) == \
         sorted(ref_a, key=lambda r: (r.design, r.mix))
     ref_b = api.sweep(mixes=["C1"], designs=("waypart", "hydrogen"),
-                      engine="batch", cache=None, **TINY).rows()
+                      engine="fast", cache=None, **TINY).rows()
     assert sorted(rows_b, key=lambda r: (r.design, r.mix)) == \
         sorted(ref_b, key=lambda r: (r.design, r.mix))
 
@@ -272,8 +272,7 @@ def test_concurrent_clients_bit_identical_and_deduped(service):
 
 
 def test_resubmitting_a_finished_campaign_dedups_every_cell(service):
-    spec = CampaignSpec(mixes=("C1",), designs=("waypart",),
-                        engine="batch", **TINY)
+    spec = CampaignSpec(mixes=("C1",), designs=("waypart",), **TINY)
     client = ServiceClient(service.host, service.port)
     first_rows, _ = client.run(spec)
     again_rows, final = client.run(spec)
@@ -286,7 +285,7 @@ def test_status_polling_and_unknown_job(service):
     client = ServiceClient(service.host, service.port)
     status = client.submit(CampaignSpec(mixes=("C1",),
                                         designs=("waypart",),
-                                        engine="batch", **TINY))
+                                        **TINY))
     assert status.state in ("queued", "running", "done")
     assert status.total_cells == 2
     list(client.stream(status.job_id))        # drain to completion
@@ -300,7 +299,7 @@ def test_status_polling_and_unknown_job(service):
 
 def test_stream_from_row_skips_already_received_rows(service):
     spec = CampaignSpec(mixes=("C1",), designs=("waypart", "hydrogen"),
-                        engine="batch", **TINY)
+                        **TINY)
     client = ServiceClient(service.host, service.port)
     rows, final = client.run(spec)
     assert final.ok and len(rows) == 3
@@ -328,18 +327,15 @@ def test_backpressure_returns_429_while_the_queue_is_full():
                              max_queued_cells=1) as handle:
             client = ServiceClient(handle.host, handle.port, retry=None)
             first = client.submit(CampaignSpec(
-                mixes=("C1", "C2"), designs=("waypart",), engine="fast",
-                **TINY))
+                mixes=("C1", "C2"), designs=("waypart",), **TINY))
             with pytest.raises(ServiceError, match="429") as exc:
                 client.submit(CampaignSpec(
-                    mixes=("C3",), designs=("waypart",), engine="fast",
-                    **TINY))
+                    mixes=("C3",), designs=("waypart",), **TINY))
             assert exc.value.status == 429
             # A retrying client rides out the backpressure window.
             patient = ServiceClient(handle.host, handle.port, retry=30)
             rows, final = patient.run(CampaignSpec(
-                mixes=("C3",), designs=("waypart",), engine="fast",
-                **TINY))
+                mixes=("C3",), designs=("waypart",), **TINY))
             assert final.ok and len(rows) == 2
             list(client.stream(first.job_id))
     finally:
@@ -348,8 +344,7 @@ def test_backpressure_returns_429_while_the_queue_is_full():
 
 def test_drain_mid_campaign_then_restart_is_bit_identical(tmp_path):
     """In-process graceful drain: the journal hands off to a restart."""
-    spec = CampaignSpec(mixes=("C1", "C2"), designs=("waypart",),
-                        engine="fast", **TINY)
+    spec = CampaignSpec(mixes=("C1", "C2"), designs=("waypart",), **TINY)
     faults.install("hang:1x1@seed=0")         # slow cells: drain lands
     try:                                      # mid-campaign
         handle = serve_in_thread(port=0, workers=1, batch_cells=1,

@@ -8,7 +8,7 @@ fault kinds PR 10 added to :mod:`repro.faults`:
 * ``kill``    — the server process dies (``os._exit``) right after
   journaling a cell completion; a restarted server must replay the
   journal and finish the campaign with rows **bit-identical** to an
-  uninterrupted ``api.sweep(engine="batch")`` run, the recovered cells
+  uninterrupted ``api.sweep(engine="fast")`` run, the recovered cells
   visible in the cache-hit accounting.
 * SIGTERM     — graceful drain mid-campaign: exit 0 (journal intact,
   no data loss), restart serves the identical rows.
@@ -24,6 +24,7 @@ reproduces exactly.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import signal
@@ -37,6 +38,7 @@ import pytest
 from repro import api, faults
 from repro.service import (CampaignSpec, HealthReport, ServiceClient,
                            ServiceError)
+from repro.service.journal import JOURNAL_FILE
 from repro.service.server import serve_in_thread
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,7 +99,9 @@ def test_kill_and_restart_streams_bit_identical_rows(tmp_path):
     after it journals the ``waypart@C1`` completion; generation 2
     replays the journal, re-enqueues what is missing, and finishes the
     campaign — and the concatenated rows the client saw are
-    bit-identical to an uninterrupted ``api.sweep(engine="batch")``.
+    bit-identical to an uninterrupted ``api.sweep(engine="fast")``.
+    The spec asks for ``engine="batch"``, as journals written by earlier
+    servers do: the restart replays that record under the alias.
     """
     journal = tmp_path / "journal"
     spec = CampaignSpec(mixes=("C1",), designs=("waypart", "hydrogen"),
@@ -112,6 +116,10 @@ def test_kill_and_restart_streams_bit_identical_rows(tmp_path):
             rows.append(row)
     code, _out = finish(proc)
     assert code == faults.CRASH_EXIT_CODE     # died the injected death
+    records = [json.loads(line) for line in
+               (journal / JOURNAL_FILE).read_text().splitlines()]
+    assert [r["spec"]["engine"] for r in records
+            if r["type"] == "campaign"] == ["batch"]
 
     # Same fault plan on the restart: the rule only hits generation 1.
     proc2, port2 = start_server(journal, fault_spec=kill)
@@ -130,7 +138,7 @@ def test_kill_and_restart_streams_bit_identical_rows(tmp_path):
     assert not final.failures
 
     ref = api.sweep(mixes=["C1"], designs=("waypart", "hydrogen"),
-                    engine="batch", cache=None, **TINY).rows()
+                    engine="fast", cache=None, **TINY).rows()
     key = lambda r: (r.design, r.mix)         # noqa: E731
     assert sorted(rows, key=key) == sorted(ref, key=key)
     # The kill fired *after* the waypart@C1 done-record went durable,
@@ -141,8 +149,7 @@ def test_kill_and_restart_streams_bit_identical_rows(tmp_path):
 def test_client_run_rides_through_the_crash_window(tmp_path):
     """`ServiceClient.run` itself survives a crash + quick restart."""
     journal = tmp_path / "journal"
-    spec = CampaignSpec(mixes=("C1",), designs=("waypart",),
-                        engine="batch", **TINY)
+    spec = CampaignSpec(mixes=("C1",), designs=("waypart",), **TINY)
     kill = "kill:1x1~waypart@seed=0"
     proc, port = start_server(journal, fault_spec=kill)
     client = ServiceClient("127.0.0.1", port, retry=6)
@@ -176,7 +183,7 @@ def test_client_run_rides_through_the_crash_window(tmp_path):
                 p.terminate()
                 finish(p)
     assert final is not None and final.state == "done"
-    ref = api.sweep(mixes=["C1"], designs=("waypart",), engine="batch",
+    ref = api.sweep(mixes=["C1"], designs=("waypart",), engine="fast",
                     cache=None, **TINY).rows()
     key = lambda r: (r.design, r.mix)         # noqa: E731
     assert sorted(rows, key=key) == sorted(ref, key=key)
@@ -227,7 +234,7 @@ def test_signal_drains_gracefully_and_restart_serves_identical(
 
 def test_dropped_stream_resumes_without_gaps_or_duplicates():
     spec = CampaignSpec(mixes=("C1",), designs=("waypart", "hydrogen"),
-                        engine="batch", **TINY)
+                        **TINY)
     with serve_in_thread(port=0, workers=1) as handle:
         clean, final = ServiceClient(handle.host, handle.port).run(spec)
         assert final.ok
@@ -251,7 +258,7 @@ def test_dropped_stream_without_retry_budget_surfaces():
         with serve_in_thread(port=0, workers=1) as handle:
             client = ServiceClient(handle.host, handle.port, retry=0)
             spec = CampaignSpec(mixes=("C1",), designs=("waypart",),
-                                engine="batch", **TINY)
+                                **TINY)
             status = client.submit(spec)
             with pytest.raises(ServiceError, match="broke|without"):
                 list(client.stream(status.job_id))

@@ -250,14 +250,14 @@ def test_progress_callback_emits_lines():
 
 # ------------------------------------------------------------ sweep drivers
 
-def test_sweep_compare_layout_and_baseline_normalization():
+def test_sweep_grid_layout_and_baseline_normalization():
     out = sweep_grid([spec()], ("waypart",), CFG)
     assert list(out) == ["baseline", "waypart"]
     assert out["baseline"]["C1"].weighted_speedup == pytest.approx(1.0)
     assert out["waypart"]["C1"].result.policy == "waypart"
 
 
-def test_sweep_compare_matches_compare_designs():
+def test_sweep_grid_matches_compare_on_mix():
     mix = build_mix("C1", seed=4, **TINY)
     single = compare_on_mix(mix, ("waypart",), CFG)
     swept = sweep_grid([spec()], ("waypart",), CFG)
@@ -266,7 +266,7 @@ def test_sweep_compare_matches_compare_designs():
             swept[d]["C1"].weighted_speedup)
 
 
-def test_sweep_corun_matches_serial_corun():
+def test_corun_grid_matches_serial_corun_metrics():
     mix = build_mix("C1", seed=4, **TINY)
     # A policy factory takes corun_metrics' serial in-process path.
     serial = corun_metrics(mix, CFG, lambda: make_policy("baseline"))
@@ -275,7 +275,7 @@ def test_sweep_corun_matches_serial_corun():
     assert swept["slowdown_gpu"] == pytest.approx(serial["slowdown_gpu"])
 
 
-def test_compare_designs_uses_cache(tmp_path):
+def test_compare_on_mix_uses_cache(tmp_path):
     mix = build_mix("C1", seed=4, **TINY)
     cache = SweepCache(tmp_path)
     a = compare_on_mix(mix, ("waypart",), CFG, cache=cache)
