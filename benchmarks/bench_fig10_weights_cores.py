@@ -6,9 +6,9 @@ from repro.experiments.figures import fig10_weights_cores
 from repro.experiments.report import format_table
 
 
-def test_fig10_weights_and_cores(benchmark, sweep_opts):
+def test_fig10_weights_and_cores(benchmark, sweep_runner):
     out = run_once(benchmark, fig10_weights_cores, "C6", scale=BENCH_SCALE,
-                   seed=SEED, **sweep_opts)
+                   seed=SEED, runner=sweep_runner)
 
     print("\nFig. 10(a): CPU:GPU IPC weight sweep on C6 "
           "(slowdown vs running alone; lower is better):")

@@ -6,9 +6,9 @@ from repro.experiments.figures import fig11_geometry
 from repro.experiments.report import format_table
 
 
-def test_fig11_assoc_and_block_size(benchmark, sweep_opts):
+def test_fig11_assoc_and_block_size(benchmark, sweep_runner):
     rows = run_once(benchmark, fig11_geometry, scale=BENCH_SCALE, seed=SEED,
-                    **sweep_opts)
+                    runner=sweep_runner)
 
     print("\nFig. 11: geometry sweep (weighted speedup vs the baseline of "
           "the same geometry):")

@@ -7,9 +7,9 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import geomean
 
 
-def test_fig2a_slowdowns(benchmark, sweep_opts):
+def test_fig2a_slowdowns(benchmark, sweep_runner):
     rows = run_once(benchmark, fig2_slowdowns, scale=BENCH_SCALE, seed=SEED,
-                    **sweep_opts)
+                    runner=sweep_runner)
 
     print("\nFig. 2(a): co-run slowdown vs running alone:")
     print(format_table(

@@ -26,9 +26,9 @@ def _print_fig5(results, title):
     print(format_table(["mix"] + designs, rows))
 
 
-def test_fig5a_hbm2e(benchmark, sweep_opts):
+def test_fig5a_hbm2e(benchmark, sweep_runner):
     results = run_once(benchmark, fig5_overall, scale=BENCH_SCALE, seed=SEED,
-                       **sweep_opts)
+                       runner=sweep_runner)
     _print_fig5(results, "Fig. 5(a) HBM2E")
 
     csv_path = os.path.join(os.path.dirname(__file__), "..", "perf.csv")
@@ -47,9 +47,9 @@ def test_fig5a_hbm2e(benchmark, sweep_opts):
     assert gm["hydrogen"] > gm["hydrogen-dp"]
 
 
-def test_fig5b_hbm3(benchmark, sweep_opts):
+def test_fig5b_hbm3(benchmark, sweep_runner):
     results = run_once(benchmark, fig5_overall, fast="hbm3",
-                       scale=BENCH_SCALE, seed=SEED, **sweep_opts)
+                       scale=BENCH_SCALE, seed=SEED, runner=sweep_runner)
     _print_fig5(results, "Fig. 5(b) HBM3")
     gm = {d: geomean([results[d][m].weighted_speedup for m in ALL_MIXES])
           for d in results}

@@ -6,11 +6,11 @@ from repro.experiments.figures import fig9_epochs
 from repro.experiments.report import format_table
 
 
-def test_fig9_epoch_and_phase_lengths(benchmark, sweep_opts):
+def test_fig9_epoch_and_phase_lengths(benchmark, sweep_runner):
     # Two representative mixes keep the 8-point sweep tractable; pass
     # mixes=ALL_MIXES for the full set (EXPERIMENTS.md).
     out = run_once(benchmark, fig9_epochs, mixes=("C1", "C5"),
-                   scale=BENCH_SCALE, seed=SEED, **sweep_opts)
+                   scale=BENCH_SCALE, seed=SEED, runner=sweep_runner)
 
     print("\nFig. 9(a): sampling-epoch length sweep "
           "(geomean weighted speedup):")

@@ -9,9 +9,11 @@ tens of minutes — see EXPERIMENTS.md for the fidelity discussion).
 Sweep-engine knobs: ``--jobs N`` fans the figure grids out over N worker
 processes (results are bit-identical to serial; only wall-clock changes)
 and ``--no-cache`` pins cache-free runs even when ``$REPRO_SWEEP_CACHE``
-opts into the on-disk result cache.  The defaults — single process, no
-cache — are what tier-1 and committed benchmark runs want: every number
-is freshly simulated and deterministic.
+opts into the on-disk result cache.  The session builds one
+``SweepEngine`` from them and every grid-shaped figure driver runs on it
+(``runner=``).  The defaults — single process, no cache — are what
+tier-1 and committed benchmark runs want: every number is freshly
+simulated and deterministic.
 """
 
 import os
@@ -19,6 +21,7 @@ import os
 import pytest
 
 from repro.experiments.runner import env_scale
+from repro.experiments.sweep import SweepEngine
 
 #: Benchmark-default reference-count scale (overridable via $REPRO_SCALE).
 BENCH_SCALE = env_scale(0.4)
@@ -36,8 +39,9 @@ def pytest_addoption(parser):
                           "$REPRO_SWEEP_CACHE enables it")
 
 
-def sweep_options(config=None) -> dict:
-    """Shared ``jobs``/``cache`` kwargs for the figure drivers.
+@pytest.fixture(scope="session")
+def sweep_runner(pytestconfig) -> SweepEngine:
+    """The one ``SweepEngine`` the figure drivers share (``runner=``).
 
     Resolution order: pytest flags (``--jobs`` / ``--no-cache``), then the
     ``$REPRO_SWEEP_JOBS`` and ``$REPRO_SWEEP_CACHE`` environment knobs
@@ -45,22 +49,16 @@ def sweep_options(config=None) -> dict:
     value is taken as a directory path), then the deterministic default:
     one process, no cache.
     """
-    jobs = config.getoption("--jobs") if config is not None else None
-    no_cache = config.getoption("--no-cache") if config is not None else False
+    jobs = pytestconfig.getoption("--jobs")
     if jobs is None:
         jobs = int(os.environ.get("REPRO_SWEEP_JOBS") or 1)
     cache = None
-    if not no_cache:
+    if not pytestconfig.getoption("--no-cache"):
         env_cache = os.environ.get("REPRO_SWEEP_CACHE", "")
         if env_cache:
             cache = True if env_cache.lower() in ("1", "true", "yes") \
                 else env_cache
-    return {"jobs": jobs, "cache": cache}
-
-
-@pytest.fixture(scope="session")
-def sweep_opts(pytestconfig):
-    return sweep_options(pytestconfig)
+    return SweepEngine(workers=jobs, cache=cache)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

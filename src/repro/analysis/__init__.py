@@ -55,24 +55,19 @@ STYLE_RULES = (LineLengthRule, WhitespaceRule, UnusedImportRule)
 ALL_RULES = DOMAIN_RULES + STYLE_RULES
 
 
-def default_rules(docs_path: str | Path | None = None,
-                  *, style: bool = True) -> list[Rule]:
-    """Fresh single-use instances of the default ruleset.
+def _instantiate(classes, docs_path: str | Path | None) -> list[Rule]:
+    """Fresh single-use instances; KEY01 gets the registry document."""
+    return [cls(docs_path) if cls is StatsKeyRegistryRule else cls()
+            for cls in dict.fromkeys(classes)]
+
+
+def default_rules(docs_path: str | Path | None = None) -> list[Rule]:
+    """Fresh single-use instances of every rule in ``ALL_RULES``.
 
     ``docs_path`` pins the Stats-counter registry document
-    (auto-discovered from the linted tree when None); ``style=False``
-    drops the STY* gates and runs only the ten domain rules.
+    (auto-discovered from the linted tree when None).
     """
-    rules: list[Rule] = [DeterminismRule(), SeedFlowRule(),
-                         StateIsolationRule(), FloatOrderRule(),
-                         TelemetryPurityRule(),
-                         SweepPicklabilityRule(),
-                         StatsKeyRegistryRule(docs_path),
-                         MutableDefaultRule(), PrivateImportRule(),
-                         RobustnessRule()]
-    if style:
-        rules.extend(cls() for cls in STYLE_RULES)
-    return rules
+    return _instantiate(ALL_RULES, docs_path)
 
 
 def rules_by_id(spec: str,
@@ -101,13 +96,7 @@ def rules_by_id(spec: str,
             raise ValueError(f"unknown rule {token!r}; known: {known} "
                              f"(or domain/style/all)")
         chosen.extend(matches)
-    out: list[Rule] = []
-    for cls in dict.fromkeys(chosen):
-        if cls is StatsKeyRegistryRule:
-            out.append(StatsKeyRegistryRule(docs_path))
-        else:
-            out.append(cls())
-    return out
+    return _instantiate(chosen, docs_path)
 
 
 __all__ = [

@@ -12,8 +12,9 @@ the call sites.
 Flagged: a ``lambda`` anywhere inside an argument to ``sweep_grid`` /
 ``corun_grid`` / ``SweepJob`` / ``<engine>.run(...)``, or a reference
 to a nested (locally defined) function passed as such an argument.  The
-``progress=`` keyword is exempt — progress callbacks stay in the parent
-process and are never pickled.
+``runner=`` keyword is exempt — the ``SweepEngine`` and its hooks
+(``progress``, ``on_result``, ``on_failure``) stay in the parent
+process; only the jobs it builds are pickled.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ ENTRY_FUNCS = frozenset({"sweep_grid", "corun_grid", "SweepJob"})
 ENTRY_METHODS = frozenset({"run", "submit"})
 
 #: Keyword arguments that stay in the parent process (never pickled).
-PARENT_SIDE_KWARGS = frozenset({"progress"})
+PARENT_SIDE_KWARGS = frozenset({"runner"})
 
 
 def _is_entry_call(call: ast.Call) -> bool:

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import SystemConfig, default_system
+from repro.config import SystemConfig
 from repro.engine.simulator import ENGINES, SimResult, resolve_engine
 from repro.experiments.designs import FIG5_DESIGNS
-from repro.experiments.runner import (ComboResult, compare_on_mix,
-                                      corun_metrics, env_scale, geomean,
+from repro.experiments.runner import (ComboResult, env_scale, geomean,
                                       run_design)
 from repro.experiments.resilience import (JobFailure, RetryPolicy,
                                           SweepReport)
-from repro.experiments.sweep import SweepEngine, SweepStats, sweep_grid
+from repro.experiments.sweep import (SweepEngine, SweepStats, corun_grid,
+                                     sweep_grid)
 from repro.service.schema import CellRow
 from repro.traces.mixes import WorkloadMix, build_mix
 
@@ -50,7 +50,7 @@ def coerce_mix(mix: str | WorkloadMix, scale: float | None,
 
 
 def simulate(*, mix: str | WorkloadMix, design: str = "hydrogen",
-             cfg: SystemConfig | None = None, engine: str | None = "fast",
+             cfg: SystemConfig | None = None, engine: str = "fast",
              scale: float | None = None, seed: int = 7,
              native_geometry: bool = True, sanitize: bool = False,
              **sim_kw) -> SimResult:
@@ -61,9 +61,8 @@ def simulate(*, mix: str | WorkloadMix, design: str = "hydrogen",
     :class:`~repro.traces.mixes.WorkloadMix`.  ``design`` is a registry
     name or a policy instance.  ``engine`` selects the simulation core:
     ``"fast"`` (the default, bit-exact with ``"reference"``; ``"batch"``
-    is its one-release alias) or ``"reference"``; ``None`` defers to
-    ``$REPRO_ENGINE``.  ``sanitize=True`` replays
-    the run on the reference engine with boundary-state digests
+    is its one-release alias) or ``"reference"``.  ``sanitize=True``
+    replays the run on the reference engine with boundary-state digests
     (:mod:`repro.sanitize`) and raises
     :class:`~repro.sanitize.DivergenceError` localizing the first
     divergent (boundary, component) if the engines disagree (registry-
@@ -96,7 +95,7 @@ def simulate(*, mix: str | WorkloadMix, design: str = "hydrogen",
                 raise DivergenceError(div)
         return res
     return run_design(design, built, cfg,
-                      native_geometry=native_geometry, engine=engine,
+                      native_geometry=native_geometry, engine=eng,
                       **sim_kw)
 
 
@@ -140,7 +139,7 @@ class SweepResult:
 
 
 def sweep(*, mixes, designs: tuple[str, ...] = FIG5_DESIGNS,
-          cfg: SystemConfig | None = None, engine: str | None = "fast",
+          cfg: SystemConfig | None = None, engine: str = "fast",
           scale: float | None = None, seed: int = 7,
           native_geometry: bool = True, jobs: int | None = None,
           cache=None, progress=None, trace_dir: str | None = None,
@@ -149,12 +148,13 @@ def sweep(*, mixes, designs: tuple[str, ...] = FIG5_DESIGNS,
           sweep_telemetry=None, **sim_kw) -> SweepResult:
     """Baseline + ``designs`` on every mix, as one batched grid.
 
-    Mixes are names or built mixes; the whole grid (shared baselines
-    included) goes through one :class:`~repro.experiments.sweep.
-    SweepEngine` batch, so ``jobs`` fans cells out across processes and
-    ``cache`` recalls previously simulated cells from disk (cached cells
-    are shared across engines).  ``trace_dir`` streams one telemetry
-    JSONL per simulated cell.  Returns a :class:`SweepResult`.
+    Mixes are names, :class:`~repro.experiments.sweep.MixSpec` recipes
+    or built mixes; the whole grid (shared baselines included) goes
+    through one :class:`~repro.experiments.sweep.SweepEngine` batch, so
+    ``jobs`` fans cells out across processes and ``cache`` recalls
+    previously simulated cells from disk (cached cells are shared
+    across engines).  ``trace_dir`` streams one telemetry JSONL per
+    simulated cell.  Returns a :class:`SweepResult`.
 
     Resilience (docs/robustness.md): ``retry`` re-runs failed cells
     (an int retry count or a :class:`RetryPolicy`), ``job_timeout``
@@ -164,7 +164,6 @@ def sweep(*, mixes, designs: tuple[str, ...] = FIG5_DESIGNS,
     recovery events (distinct from per-cell simulation telemetry).
     """
     resolve_engine(engine)
-    cfg = cfg or default_system()
     runner = SweepEngine(workers=jobs, cache=cache, progress=progress,
                          retry=retry, job_timeout=job_timeout,
                          failures=failures, telemetry=sweep_telemetry)
@@ -180,31 +179,20 @@ def sweep(*, mixes, designs: tuple[str, ...] = FIG5_DESIGNS,
 
 
 def compare(*, mix: str | WorkloadMix, designs: tuple[str, ...],
-            cfg: SystemConfig | None = None, engine: str | None = "fast",
-            scale: float | None = None, seed: int = 7,
-            jobs: int | None = None, cache=None, progress=None,
-            trace_dir: str | None = None,
-            retry: "RetryPolicy | int | None" = None,
-            job_timeout: float | None = None, failures: str = "raise",
-            **sim_kw) -> dict[str, ComboResult]:
+            **kw) -> dict[str, ComboResult]:
     """Baseline + ``designs`` on one mix, normalized to the baseline.
 
-    A thin single-mix convenience over :func:`sweep`; returns
-    ``{design: ComboResult}`` with ``"baseline"`` first.  The
-    ``retry`` / ``job_timeout`` / ``failures`` knobs behave as in
-    :func:`sweep`; under ``"collect"`` failed designs are absent from
-    the mapping.
+    :func:`sweep` on the single mix, taking the same keywords; returns
+    ``{design: ComboResult}`` with ``"baseline"`` first.  Under
+    ``failures="collect"`` failed designs are absent from the mapping.
     """
-    resolve_engine(engine)
-    return compare_on_mix(coerce_mix(mix, scale, seed), tuple(designs),
-                          cfg, jobs=jobs, cache=cache, progress=progress,
-                          trace_dir=trace_dir, retry=retry,
-                          job_timeout=job_timeout, failures=failures,
-                          engine=engine, **sim_kw)
+    grid = sweep(mixes=[mix], designs=designs, **kw).grid
+    return {design: combo for design, by_mix in grid.items()
+            for combo in by_mix.values()}
 
 
-def corun(*, mix: str | WorkloadMix, design="baseline",
-          cfg: SystemConfig | None = None, engine: str | None = "fast",
+def corun(*, mix: str | WorkloadMix, design: str = "baseline",
+          cfg: SystemConfig | None = None, engine: str = "fast",
           scale: float | None = None, seed: int = 7, jobs: int | None = None,
           cache=None, progress=None,
           retry: "RetryPolicy | int | None" = None,
@@ -212,20 +200,21 @@ def corun(*, mix: str | WorkloadMix, design="baseline",
           **sim_kw) -> dict[str, float]:
     """Fig. 2(a): per-class slowdown of co-running vs running alone.
 
-    ``design`` is a registry name or a zero-argument policy factory.
-    Returns ``{"slowdown_cpu", "slowdown_gpu", "corun_cycles_cpu",
-    "corun_cycles_gpu"}``; absent classes report NaN.  The ``retry`` /
-    ``job_timeout`` / ``failures`` knobs behave as in :func:`sweep`
-    (registry-name designs only — factories run serially without the
-    sweep engine).
+    ``design`` is a registry name.  Returns ``{"slowdown_cpu",
+    "slowdown_gpu", "corun_cycles_cpu", "corun_cycles_gpu"}``; absent
+    classes report NaN, and so does a mix whose co-run cell failed
+    under ``failures="collect"``.  The ``jobs`` / ``cache`` /
+    ``progress`` / ``retry`` / ``job_timeout`` / ``failures`` knobs
+    behave as in :func:`sweep`.
     """
     resolve_engine(engine)
-    if isinstance(design, str):
-        return corun_metrics(coerce_mix(mix, scale, seed), cfg, design,
-                             jobs=jobs, cache=cache, progress=progress,
-                             retry=retry, job_timeout=job_timeout,
-                             failures=failures, engine=engine, **sim_kw)
-    return corun_metrics(coerce_mix(mix, scale, seed), cfg, design,
-                         jobs=jobs, cache=cache, progress=progress,
-                         engine=engine, **sim_kw)
-
+    runner = SweepEngine(workers=jobs, cache=cache, progress=progress,
+                         retry=retry, job_timeout=job_timeout,
+                         failures=failures)
+    out = corun_grid([mix], cfg, design=design,
+                     scale=_resolve_scale(scale), seed=seed, runner=runner,
+                     engine=engine, **sim_kw)
+    return next(iter(out.values()), {"slowdown_cpu": float("nan"),
+                                     "slowdown_gpu": float("nan"),
+                                     "corun_cycles_cpu": None,
+                                     "corun_cycles_gpu": None})

@@ -48,7 +48,7 @@ from repro.experiments.report import (PERF_HEADERS, epoch_table,
                                       format_events, format_sweep_stats,
                                       format_table, perf_csv_rows, to_csv)
 from repro.experiments.runner import geomean, weighted_speedup
-from repro.experiments.sweep import MixSpec
+from repro.experiments.sweep import MixSpec, SweepEngine
 from repro.service.queue import PRIORITIES
 from repro.service.server import DEFAULT_PORT
 from repro.telemetry import EpochRecorder, JsonlSink, TeeSink
@@ -90,12 +90,6 @@ def _resolve_cli_cache(args, *, default_on: bool):
     if getattr(args, "cache", False) or default_on:
         return True
     return None
-
-
-def _sweep_kwargs(args, *, default_on: bool = False) -> dict:
-    """jobs/cache kwargs for the figure drivers and sweep helpers."""
-    return {"jobs": getattr(args, "jobs", None),
-            "cache": _resolve_cli_cache(args, default_on=default_on)}
 
 
 def _resilience_kwargs(args) -> dict:
@@ -149,9 +143,10 @@ def cmd_compare(args) -> int:
         else None
     try:
         out = api.compare(mix=mix, designs=designs, cfg=cfg,
-                          engine=args.engine,
+                          engine=args.engine, jobs=args.jobs,
+                          cache=_resolve_cli_cache(args, default_on=False),
                           trace_dir=getattr(args, "trace", None),
-                          **_sweep_kwargs(args), **_resilience_kwargs(args))
+                          **_resilience_kwargs(args))
     finally:
         if getattr(args, "faults", None):
             faults.install(prev)
@@ -338,32 +333,31 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _fig_sweep_kwargs(a) -> dict:
-    return _sweep_kwargs(a)
-
-
+#: ``repro fig`` drivers: ``(args, runner) -> rows``; the grid-shaped
+#: ones run their cells on the one ``SweepEngine`` that ``cmd_fig``
+#: builds from ``--jobs`` and the cache flags.
 FIG_DRIVERS = {
-    "table2": lambda a: figures.table2_workloads(seed=a.seed),
-    "fig2a": lambda a: figures.fig2_slowdowns(scale=a.scale, seed=a.seed,
-                                              **_fig_sweep_kwargs(a)),
-    "fig2bcd": lambda a: figures.fig2_sensitivity(scale=a.scale, seed=a.seed),
-    "fig5": lambda a: figures.fig5_summary(
-        figures.fig5_overall(scale=a.scale, seed=a.seed,
-                             **_fig_sweep_kwargs(a))),
-    "fig5-hbm3": lambda a: figures.fig5_summary(
+    "table2": lambda a, r: figures.table2_workloads(seed=a.seed),
+    "fig2a": lambda a, r: figures.fig2_slowdowns(scale=a.scale, seed=a.seed,
+                                                 runner=r),
+    "fig2bcd": lambda a, r: figures.fig2_sensitivity(scale=a.scale,
+                                                     seed=a.seed),
+    "fig5": lambda a, r: figures.fig5_summary(
+        figures.fig5_overall(scale=a.scale, seed=a.seed, runner=r)),
+    "fig5-hbm3": lambda a, r: figures.fig5_summary(
         figures.fig5_overall(fast="hbm3", scale=a.scale, seed=a.seed,
-                             **_fig_sweep_kwargs(a))),
-    "fig6": lambda a: figures.fig6_energy(scale=a.scale, seed=a.seed),
-    "fig7": lambda a: figures.fig7_overheads(scale=a.scale, seed=a.seed),
-    "fig8": lambda a: figures.fig8_search(scale=a.scale, seed=a.seed),
-    "fig9": lambda a: figures.fig9_epochs(scale=a.scale, seed=a.seed,
-                                          **_fig_sweep_kwargs(a)),
-    "fig10": lambda a: figures.fig10_weights_cores(scale=a.scale, seed=a.seed,
-                                                   **_fig_sweep_kwargs(a)),
-    "fig11": lambda a: figures.fig11_geometry(scale=a.scale, seed=a.seed,
-                                              **_fig_sweep_kwargs(a)),
-    "kvcache": lambda a: figures.kvcache_grid(scale=a.scale, seed=a.seed,
-                                              **_fig_sweep_kwargs(a)),
+                             runner=r)),
+    "fig6": lambda a, r: figures.fig6_energy(scale=a.scale, seed=a.seed),
+    "fig7": lambda a, r: figures.fig7_overheads(scale=a.scale, seed=a.seed),
+    "fig8": lambda a, r: figures.fig8_search(scale=a.scale, seed=a.seed),
+    "fig9": lambda a, r: figures.fig9_epochs(scale=a.scale, seed=a.seed,
+                                             runner=r),
+    "fig10": lambda a, r: figures.fig10_weights_cores(
+        scale=a.scale, seed=a.seed, runner=r),
+    "fig11": lambda a, r: figures.fig11_geometry(scale=a.scale, seed=a.seed,
+                                                 runner=r),
+    "kvcache": lambda a, r: figures.kvcache_grid(scale=a.scale, seed=a.seed,
+                                                 runner=r),
 }
 
 
@@ -372,7 +366,9 @@ def cmd_fig(args) -> int:
     if driver is None:
         raise SystemExit(f"unknown figure {args.name!r}; "
                          f"known: {sorted(FIG_DRIVERS)}")
-    result = driver(args)
+    runner = SweepEngine(workers=args.jobs,
+                         cache=_resolve_cli_cache(args, default_on=False))
+    result = driver(args, runner)
     print(json.dumps(result, indent=2, default=str))
     return 0
 
@@ -459,7 +455,7 @@ def cmd_lint(args) -> int:
         if args.rules:
             rules = rules_by_id(args.rules, docs)
         else:
-            rules = default_rules(docs, style=not args.no_style)
+            rules = default_rules(docs)
     except ValueError as exc:
         raise SystemExit(f"repro lint: {exc}")
     if args.changed:
@@ -631,10 +627,10 @@ def make_parser() -> argparse.ArgumentParser:
                                  "kvcache-long), or 'gcc-mcf:backprop'")
 
     def engine_opt(sp):
-        sp.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="simulation core: 'fast' (bit-exact; "
-                             "'batch' is its alias) or 'reference' "
-                             "(default $REPRO_ENGINE or reference)")
+        sp.add_argument("--engine", choices=list(ENGINES), default="fast",
+                        help="simulation core: 'fast' (the default; "
+                             "bit-exact, 'batch' is its alias) or "
+                             "'reference'")
 
     def sweep_opts(sp):
         sp.add_argument("--jobs", type=int, default=None,
@@ -759,8 +755,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rules", metavar="SPEC",
                     help="comma-separated rule ids/names or the groups "
                          "domain|style|all (default: all)")
-    sp.add_argument("--no-style", action="store_true",
-                    help="run only the ten domain rules")
     sp.add_argument("--docs", metavar="PATH",
                     help="Stats counter registry document "
                          "(default: docs/telemetry.md if present)")

@@ -274,15 +274,6 @@ class SystemConfig:
     def with_fast(self, fast: MemConfig) -> "SystemConfig":
         return replace(self, fast=fast)
 
-    def stable_digest(self) -> str:
-        """Stable SHA-256 digest of this configuration (see config_io).
-
-        Identical configs digest identically across processes/sessions, so
-        the digest can key on-disk caches and sweep job identities.
-        """
-        from repro.config_io import config_digest
-        return config_digest(self)
-
     def with_geometry(self, *, assoc: int | None = None,
                       block: int | None = None) -> "SystemConfig":
         """Return a copy with a different associativity and/or block size.

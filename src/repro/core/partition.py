@@ -99,10 +99,6 @@ class DecoupledMap:
         """Fast channel serving (set, way); independent of cap/bw."""
         return (way + self.rotation(set_id)) % self.channels
 
-    def is_dedicated_channel(self, ch: int) -> bool:
-        """Channels [0, bw) are CPU-dedicated."""
-        return ch < self.bw
-
     # -- ownership (the part reconfiguration changes) ---------------------------
 
     def owners(self, set_id: int) -> tuple[str, ...]:

@@ -8,7 +8,6 @@ per-class cycle counts the paper's evaluation (artifact task T3) reports.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
@@ -74,7 +73,6 @@ class SimResult:
     agent_ipc: dict[str, float] = field(default_factory=dict)
     agent_latency: dict[str, float] = field(default_factory=dict)
     policy_state: dict = field(default_factory=dict)
-    epochs: list[dict] = field(default_factory=list)
 
     def hit_rate(self, klass: str) -> float:
         hits = self.stats.get(f"{klass}.fast_hits", 0.0)
@@ -92,8 +90,7 @@ class Simulation:
 
     def __init__(self, cfg: SystemConfig, policy: PartitionPolicy,
                  mix: WorkloadMix, max_cycles: float = MAX_CYCLES_DEFAULT,
-                 record_epochs: bool = False, warmup_cpu: float = 0.25,
-                 warmup_gpu: float = 0.35,
+                 warmup_cpu: float = 0.25, warmup_gpu: float = 0.35,
                  telemetry: Telemetry | None = None,
                  stall_epochs: int | None = STALL_EPOCHS_DEFAULT,
                  sanitize: "StateRecorder | NullSanitizer | None" = None
@@ -101,7 +98,6 @@ class Simulation:
         self.cfg = cfg
         self.mix = mix
         self.max_cycles = max_cycles
-        self.record_epochs = record_epochs
         self.eq = self._eq_cls()
         self.stats = Stats()
         self.telemetry = telemetry if telemetry is not None else NULL_SINK
@@ -131,7 +127,6 @@ class Simulation:
         self.stall_epochs = stall_epochs
         self._stall_count = 0
         self._stall_retired = -1.0
-        self.epoch_log: list[dict] = []
         # Telemetry epoch-delta state (touched only when a sink is enabled).
         self._epoch_index = 0
         self._tele_stats_snap: dict[str, float] = {}
@@ -160,14 +155,10 @@ class Simulation:
         self.policy.on_epoch(now, metrics)
         if self.telemetry.enabled:
             # After on_epoch, so the sample reflects any reconfiguration
-            # the tuner just applied (matching record_epochs semantics);
-            # the tuner.*/reconfig.* events of this decision precede it.
+            # the tuner just applied; the tuner.*/reconfig.* events of
+            # this decision precede it.
             self.telemetry.epoch(self._telemetry_sample(now, ep, metrics))
         self._epoch_index += 1
-        if self.record_epochs:
-            metrics["t"] = now
-            metrics.update(self.policy.describe())
-            self.epoch_log.append(metrics)
         if not self._all_done():
             self._check_progress(now)
             self.eq.after(ep, self._epoch_tick)
@@ -324,7 +315,6 @@ class Simulation:
             agent_ipc={a.name: a.ipc for a in self.agents},
             agent_latency={a.name: a.mean_latency for a in self.agents},
             policy_state=self.policy.describe(),
-            epochs=self.epoch_log,
         )
 
 
@@ -334,30 +324,21 @@ class Simulation:
 ENGINES = ("reference", "fast", "batch")
 
 
-def resolve_engine(engine: str | None) -> str:
-    """Resolve an engine selector to ``"reference"`` or ``"fast"``.
-
-    An explicit name wins, then the ``REPRO_ENGINE`` environment
-    variable, then ``"reference"``; the ``"batch"`` alias resolves to
-    ``"fast"``.
-    """
-    eng = engine if engine is not None else os.environ.get("REPRO_ENGINE")
-    eng = eng or "reference"
-    if eng not in ENGINES:
-        raise ValueError(f"unknown engine {eng!r}; known: {ENGINES}")
-    return "fast" if eng == "batch" else eng
+def resolve_engine(engine: str) -> str:
+    """Validate an engine name; the ``"batch"`` alias maps to ``"fast"``."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
+    return "fast" if engine == "batch" else engine
 
 
 def simulate(cfg: SystemConfig, policy: PartitionPolicy, mix: WorkloadMix,
-             engine: str | None = None, **kw) -> SimResult:
+             engine: str = "fast", **kw) -> SimResult:
     """Convenience one-shot runner.
 
-    ``engine`` selects the simulation core: ``"reference"`` (the scalar
-    event loop) or ``"fast"`` (the fused interpreter of
-    :mod:`repro.engine.batch`, bit-exact with the reference — see
-    docs/api.md; ``"batch"`` is its alias).  ``None`` defers to the
-    ``REPRO_ENGINE`` environment variable, defaulting to
-    ``"reference"``.
+    ``engine`` selects the simulation core: ``"fast"`` (the default: the
+    fused interpreter of :mod:`repro.engine.batch`, bit-exact with the
+    reference — see docs/api.md; ``"batch"`` is its alias) or
+    ``"reference"`` (the scalar event loop).
     """
     if resolve_engine(engine) == "fast":
         from repro.engine.batch import FastSimulation

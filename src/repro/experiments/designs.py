@@ -61,10 +61,6 @@ KVCACHE_DESIGNS = ("kv-windowpin", "kv-layersplit", "kv-tokenlru",
 ALL_DESIGNS = tuple(_REGISTRY)
 
 
-def design_names() -> tuple[str, ...]:
-    return ALL_DESIGNS
-
-
 def make_policy(name: str) -> PartitionPolicy:
     """A fresh policy instance for a registry name (see ``ALL_DESIGNS``)."""
     try:

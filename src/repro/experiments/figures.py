@@ -4,6 +4,10 @@ Every function regenerates the corresponding exhibit's rows/series from
 fresh simulations and returns plain dicts; the benchmarks print them via
 :mod:`repro.experiments.report`.  Reference-count scale is controlled by
 the ``scale`` argument (and ``$REPRO_SCALE`` through the benchmarks).
+The grid-shaped drivers take ``runner=``, the
+:class:`~repro.experiments.sweep.SweepEngine` that runs their cells
+(its workers and cache are the caller's choice; ``None`` builds one
+with the engine's defaults).
 
 Naming: ``fig2_motivation`` etc. match the per-experiment index in
 DESIGN.md section 4.
@@ -17,9 +21,10 @@ from repro.config import MB, SystemConfig, default_system, hbm2e, hbm3
 from repro.core.hydrogen import HydrogenPolicy
 from repro.engine.simulator import simulate
 from repro.experiments.designs import FIG5_DESIGNS, KVCACHE_DESIGNS
-from repro.experiments.runner import (ComboResult, compare_on_mix, geomean,
-                                      run_design, weighted_speedup)
-from repro.experiments.sweep import MixSpec, corun_grid, sweep_grid
+from repro.experiments.runner import (ComboResult, geomean, run_design,
+                                      weighted_speedup)
+from repro.experiments.sweep import (MixSpec, SweepEngine, corun_grid,
+                                     sweep_grid)
 from repro.traces.base import characterize
 from repro.traces.mixes import ALL_MIXES, build_mix, cpu_only, gpu_only
 
@@ -50,16 +55,13 @@ def table2_workloads(*, cpu_refs: int = 10_000, gpu_refs: int = 40_000,
 
 def fig2_slowdowns(mixes=ALL_MIXES, *, scale: float = 1.0,
                    cfg: SystemConfig | None = None, seed: int = 7,
-                   jobs: int | None = None, cache=None,
-                   progress=None) -> list[dict]:
+                   runner: SweepEngine | None = None) -> list[dict]:
     """Fig. 2(a): co-run slowdown of CPU and GPU vs running alone.
 
-    All 3 x len(mixes) runs go through one sweep-engine batch; ``jobs``
-    and ``cache`` control parallelism and the on-disk result cache.
+    All 3 x len(mixes) runs go through one ``runner`` batch.
     """
-    cfg = cfg or default_system()
     sd = corun_grid([MixSpec(n, scale=scale, seed=seed) for n in mixes],
-                    cfg, workers=jobs, cache=cache, progress=progress)
+                    cfg, runner=runner)
     return [{"mix": name,
              "slowdown_cpu": sd[name]["slowdown_cpu"],
              "slowdown_gpu": sd[name]["slowdown_gpu"]} for name in mixes]
@@ -113,22 +115,21 @@ def fig2_sensitivity(mix_name: str = "C1", *, scale: float = 1.0,
 
 
 def fig5_overall(mixes=ALL_MIXES, *, fast: str = "hbm2e", scale: float = 1.0,
-                 designs=FIG5_DESIGNS, seed: int = 7, jobs: int | None = None,
-                 cache=None, progress=None
+                 designs=FIG5_DESIGNS, seed: int = 7,
+                 runner: SweepEngine | None = None
                  ) -> dict[str, dict[str, ComboResult]]:
     """Fig. 5: weighted speedups of every design on every mix.
 
-    The whole (mix x design) grid is one sweep-engine batch — the per-mix
-    baseline is simulated once and shared by every comparison — so
-    ``jobs > 1`` parallelizes across mixes as well as designs.  Returns
-    ``{design: {mix: ComboResult}}`` (the perf.csv layout).
+    The whole (mix x design) grid is one ``runner`` batch — the per-mix
+    baseline is simulated once and shared by every comparison — so a
+    multi-worker runner parallelizes across mixes as well as designs.
+    Returns ``{design: {mix: ComboResult}}`` (the perf.csv layout).
     """
     cfg = default_system()
     if fast == "hbm3":
         cfg = cfg.with_fast(hbm3())
     return sweep_grid([MixSpec(n, scale=scale, seed=seed) for n in mixes],
-                      tuple(designs), cfg, workers=jobs, cache=cache,
-                      progress=progress)
+                      tuple(designs), cfg, runner=runner)
 
 
 def fig5_summary(results: dict[str, dict[str, ComboResult]]) -> list[dict]:
@@ -239,7 +240,7 @@ def fig8_search(mix_name: str = "C5", *, scale: float = 1.0, seed: int = 7,
 def fig9_epochs(mixes=DEFAULT_SUBSET, *, scale: float = 1.0, seed: int = 7,
                 epoch_lengths=(2_000.0, 10_000.0, 50_000.0, 200_000.0),
                 phase_lengths=(50_000.0, 200_000.0, 400_000.0, 1_000_000.0),
-                jobs: int | None = None, cache=None, progress=None
+                runner: SweepEngine | None = None
                 ) -> dict[str, list[dict]]:
     """Fig. 9: sensitivity to sampling-epoch and phase lengths."""
     base_cfg = default_system()
@@ -250,8 +251,7 @@ def fig9_epochs(mixes=DEFAULT_SUBSET, *, scale: float = 1.0, seed: int = 7,
         for v in values:
             epochs = replace(base_cfg.epochs, **{param: v})
             cfg = replace(base_cfg, epochs=epochs)
-            per = sweep_grid(specs, ("hydrogen",), cfg, workers=jobs,
-                             cache=cache, progress=progress)
+            per = sweep_grid(specs, ("hydrogen",), cfg, runner=runner)
             speeds = [per["hydrogen"][n].weighted_speedup for n in mixes]
             out.append({param: v, "geomean_speedup": geomean(speeds)})
         return out
@@ -263,8 +263,9 @@ def fig9_epochs(mixes=DEFAULT_SUBSET, *, scale: float = 1.0, seed: int = 7,
 def fig10_weights_cores(mix_name: str = "C6", *, scale: float = 1.0,
                         seed: int = 7,
                         weight_ratios=(1, 4, 12, 32),
-                        core_counts=(4, 8, 16), jobs: int | None = None,
-                        cache=None, progress=None) -> dict[str, list[dict]]:
+                        core_counts=(4, 8, 16),
+                        runner: SweepEngine | None = None
+                        ) -> dict[str, list[dict]]:
     """Fig. 10: (a) CPU:GPU IPC weight sweep on C6 (slowdowns vs solo);
     (b) CPU core-count scaling (weighted speedup vs baseline)."""
     out: dict[str, list[dict]] = {"weights": [], "cores": []}
@@ -286,21 +287,19 @@ def fig10_weights_cores(mix_name: str = "C6", *, scale: float = 1.0,
         copies = max(1, cores // 4)
         cfg = replace(base_cfg, cpu=replace(base_cfg.cpu, cores=cores),
                       weight_cpu=float(12 * copies / 2), weight_gpu=1.0)
-        cmix = build_mix(mix_name, scale=scale, seed=seed, cpu_copies=copies)
-        per = compare_on_mix(cmix, ("profess", "hydrogen"), cfg, jobs=jobs,
-                             cache=cache, progress=progress)
+        spec = MixSpec(mix_name, scale=scale, seed=seed, cpu_copies=copies)
+        per = sweep_grid([spec], ("profess", "hydrogen"), cfg, runner=runner)
         out["cores"].append({
             "cpu_cores": cores,
-            "hydrogen_speedup": per["hydrogen"].weighted_speedup,
-            "profess_speedup": per["profess"].weighted_speedup,
+            "hydrogen_speedup": per["hydrogen"][mix_name].weighted_speedup,
+            "profess_speedup": per["profess"][mix_name].weighted_speedup,
         })
     return out
 
 
 def fig11_geometry(mixes=("C1", "C5"), *, scale: float = 1.0, seed: int = 7,
                    assocs=(1, 4, 16), blocks=(64, 256, 2048),
-                   jobs: int | None = None, cache=None, progress=None
-                   ) -> list[dict]:
+                   runner: SweepEngine | None = None) -> list[dict]:
     """Fig. 11: associativity (A) x block size (B) sweep.
 
     Each cell reports HAShCache / ProFess / Hydrogen weighted speedups
@@ -315,8 +314,7 @@ def fig11_geometry(mixes=("C1", "C5"), *, scale: float = 1.0, seed: int = 7,
         for b in blocks:
             cfg = base_cfg.with_geometry(assoc=a, block=b)
             per = sweep_grid(specs, ("hashcache", "profess", "hydrogen"),
-                             cfg, native_geometry=False, workers=jobs,
-                             cache=cache, progress=progress)
+                             cfg, native_geometry=False, runner=runner)
             rows.append({"assoc": a, "block": b,
                          **{d: geomean([per[d][n].weighted_speedup
                                         for n in mixes])
@@ -327,8 +325,7 @@ def fig11_geometry(mixes=("C1", "C5"), *, scale: float = 1.0, seed: int = 7,
 def kvcache_grid(mixes=("kvcache", "kvcache-batch", "kvcache-long"), *,
                  scale: float = 1.0, seed: int = 7,
                  capacities_mb=(2, 4, 8), designs=KVCACHE_DESIGNS,
-                 jobs: int | None = None, cache=None, progress=None
-                 ) -> list[dict]:
+                 runner: SweepEngine | None = None) -> list[dict]:
     """KV-cache serving grid: serving shape x HBM capacity x design.
 
     The mixes vary sequence length and batch size (``kvcache`` = the
@@ -344,8 +341,7 @@ def kvcache_grid(mixes=("kvcache", "kvcache-batch", "kvcache-long"), *,
     specs = [MixSpec(n, scale=scale, seed=seed) for n in mixes]
     for cap in capacities_mb:
         cfg = base_cfg.with_fast(hbm2e(capacity=cap * MB))
-        per = sweep_grid(specs, tuple(designs), cfg, workers=jobs,
-                         cache=cache, progress=progress)
+        per = sweep_grid(specs, tuple(designs), cfg, runner=runner)
         for n in mixes:
             rows.append({"capacity_mb": cap, "mix": n,
                          **{d: per[d][n].weighted_speedup

@@ -16,7 +16,7 @@ from repro.config import SystemConfig, default_system
 from repro.engine.simulator import SimResult, simulate
 from repro.experiments.designs import design_config, make_policy
 from repro.hybrid.policies.base import PartitionPolicy
-from repro.traces.mixes import WorkloadMix, build_mix, cpu_only, gpu_only
+from repro.traces.mixes import WorkloadMix
 
 
 def env_scale(default: float = 1.0) -> float:
@@ -92,7 +92,7 @@ def _cycle_ratio(num: float | None, den: float | None) -> float:
 
 def slowdown_metrics(corun: SimResult, solo_cpu: SimResult | None,
                      solo_gpu: SimResult | None) -> dict[str, float]:
-    """Fig. 2(a) reduction shared by the serial and sweep-engine paths.
+    """Fig. 2(a) reduction of one co-run cell and its solo runs.
 
     A class with no agents (GPU-only or CPU-only mix) has no solo run and
     ``None`` co-run cycles; its slowdown is NaN rather than a TypeError.
@@ -107,68 +107,9 @@ def slowdown_metrics(corun: SimResult, solo_cpu: SimResult | None,
     }
 
 
-def compare_on_mix(mix: WorkloadMix, designs: tuple[str, ...],
-                   cfg: SystemConfig | None = None, *,
-                   jobs: int | None = None, cache=None, progress=None,
-                   trace_dir: str | None = None, retry=None,
-                   job_timeout: float | None = None,
-                   failures: str = "raise",
-                   **sim_kw) -> dict[str, ComboResult]:
-    """Run the baseline plus ``designs`` on one mix; normalize to baseline.
-
-    The single-mix grid primitive behind :func:`repro.api.compare`.
-    Under ``failures="collect"`` designs whose cell failed are absent
-    from the returned mapping (empty if the shared baseline failed).
-    """
-    from repro.experiments.sweep import SweepEngine, sweep_grid
-    cfg = cfg or default_system()
-    runner = SweepEngine(workers=jobs, cache=cache, progress=progress,
-                         retry=retry, job_timeout=job_timeout,
-                         failures=failures)
-    per = sweep_grid([mix], tuple(designs), cfg, runner=runner,
-                     trace_dir=trace_dir, **sim_kw)
-    return {design: by_mix[mix.name] for design, by_mix in per.items()
-            if mix.name in by_mix}
-
-
-def corun_metrics(mix: WorkloadMix, cfg: SystemConfig | None = None,
-                  design="baseline", *, jobs: int | None = None,
-                  cache=None, progress=None, retry=None,
-                  job_timeout: float | None = None,
-                  failures: str = "raise", **sim_kw) -> dict[str, float]:
-    """Fig. 2(a) reduction behind :func:`repro.api.corun`."""
-    cfg = cfg or default_system()
-    if isinstance(design, str):
-        from repro.experiments.sweep import SweepEngine, corun_grid
-        runner = SweepEngine(workers=jobs, cache=cache, progress=progress,
-                             retry=retry, job_timeout=job_timeout,
-                             failures=failures)
-        out = corun_grid([mix], cfg, design=design, runner=runner,
-                         **sim_kw)
-        if mix.name not in out:   # co-run cell failed under "collect"
-            return {"slowdown_cpu": float("nan"),
-                    "slowdown_gpu": float("nan"),
-                    "corun_cycles_cpu": None, "corun_cycles_gpu": None}
-        return out[mix.name]
-
-    solo_cpu = (run_design(design(), cpu_only(mix), cfg, **sim_kw)
-                if mix.cpu_traces else None)
-    solo_gpu = (run_design(design(), gpu_only(mix), cfg, **sim_kw)
-                if mix.gpu_traces else None)
-    corun = run_design(design(), mix, cfg, **sim_kw)
-    return slowdown_metrics(corun, solo_cpu, solo_gpu)
-
-
 def geomean(values) -> float:
     vals = [v for v in values if v > 0]
     if not vals:
         return 0.0
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def build_scaled_mix(name: str, scale: float | None = None,
-                     **kw) -> WorkloadMix:
-    """Mix with the global $REPRO_SCALE applied to reference counts."""
-    return build_mix(name, scale=scale if scale is not None else env_scale(),
-                     **kw)
 

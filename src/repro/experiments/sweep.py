@@ -598,10 +598,7 @@ def sweep_grid(mixes, designs, cfg: SystemConfig | None = None, *,
                scale: float = 1.0, seed: int = 7,
                native_geometry: bool = True,
                runner: SweepEngine | None = None,
-               workers: int | None = None, cache=None, progress=None,
                trace_dir: str | None = None,
-               retry=None, job_timeout: float | None = None,
-               failures: str = "raise", sweep_telemetry=None,
                **sim_kw) -> dict[str, dict[str, "ComboResult"]]:
     """Grid submission behind :func:`repro.api.sweep`.
 
@@ -610,19 +607,16 @@ def sweep_grid(mixes, designs, cfg: SystemConfig | None = None, *,
     ``{design: {mix_name: ComboResult}}`` (the Fig. 5 / perf.csv
     layout) with ``"baseline"`` first.
 
-    ``runner`` is the :class:`SweepEngine`; a simulation-core selector
-    travels inside ``sim_kw`` as ``engine=...`` (the names differ so the
-    two kinds of engine can be passed together).  Under
-    ``failures="collect"`` a mix whose cell failed is simply absent from
-    the affected design rows (and from every row, if its shared baseline
-    failed); the per-job records live on ``runner.report.failures``.
+    ``runner`` is the :class:`SweepEngine` that runs the jobs (workers,
+    cache, progress and resilience are its knobs); ``None`` builds one
+    with its defaults.  A simulation-core selector travels inside
+    ``sim_kw`` as ``engine=...``.  When the runner collects failures, a
+    mix whose cell failed is simply absent from the affected design
+    rows (and from every row, if its shared baseline failed); the
+    per-job records live on ``runner.report.failures``.
     """
     cfg = cfg or default_system()
-    runner = runner or SweepEngine(workers=workers, cache=cache,
-                                   progress=progress, retry=retry,
-                                   job_timeout=job_timeout,
-                                   failures=failures,
-                                   telemetry=sweep_telemetry)
+    runner = runner or SweepEngine()
     specs = [as_spec(m, scale=scale, seed=seed) for m in mixes]
     names = list(dict.fromkeys(("baseline",) + tuple(designs)))
     frozen = freeze_kw(sim_kw)
@@ -659,23 +653,17 @@ def _solo_variant(mix, klass: str):
 def corun_grid(mixes, cfg: SystemConfig | None = None, *,
                design: str = "baseline", scale: float = 1.0, seed: int = 7,
                runner: SweepEngine | None = None,
-               workers: int | None = None, cache=None, progress=None,
                trace_dir: str | None = None,
-               retry=None, job_timeout: float | None = None,
-               failures: str = "raise", sweep_telemetry=None,
                **sim_kw) -> dict[str, dict[str, float]]:
     """Solo/co-run batching behind :func:`repro.api.corun`.
 
-    Under ``failures="collect"`` a mix whose co-run cell failed is
-    absent from the output; a failed solo cell degrades that side's
-    slowdown to NaN (the one-sided-mix semantics).
+    ``runner`` is as in :func:`sweep_grid`.  When it collects failures,
+    a mix whose co-run cell failed is absent from the output; a failed
+    solo cell degrades that side's slowdown to NaN (the one-sided-mix
+    semantics).
     """
     cfg = cfg or default_system()
-    runner = runner or SweepEngine(workers=workers, cache=cache,
-                                   progress=progress, retry=retry,
-                                   job_timeout=job_timeout,
-                                   failures=failures,
-                                   telemetry=sweep_telemetry)
+    runner = runner or SweepEngine()
     frozen = freeze_kw(sim_kw)
 
     def job(mix):

@@ -157,13 +157,28 @@ def test_pck01_nested_function_into_sweep_entry(tmp_path):
 
 def test_pck01_progress_callback_is_parent_side(tmp_path):
     findings = lint_source(tmp_path, """\
+        from repro.experiments import SweepEngine, sweep_grid
+
+        def drive(mixes, designs, cfg):
+            return sweep_grid(
+                mixes, designs, cfg,
+                runner=SweepEngine(progress=lambda done: print(done)))
+        """, SweepPicklabilityRule())
+    assert findings == []
+
+
+def test_pck01_progress_lambda_into_sweep_grid(tmp_path):
+    # sweep_grid has no progress= of its own: the callback would land in
+    # the pickled job's sim_kw.
+    findings = lint_source(tmp_path, """\
         from repro.experiments import sweep_grid
 
         def drive(mixes, designs, cfg):
             return sweep_grid(mixes, designs, cfg,
                               progress=lambda done: print(done))
         """, SweepPicklabilityRule())
-    assert findings == []
+    assert [f.rule_id for f in findings] == ["PCK01"]
+    assert findings[0].line == 5
 
 
 def test_key01_undocumented_key(tmp_path):

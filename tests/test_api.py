@@ -84,6 +84,14 @@ def test_compare_normalizes_to_baseline():
     assert per["waypart"].weighted_speedup > 0
 
 
+def test_sweep_after_compare_recalls_every_cell(tmp_path):
+    kw = dict(designs=("waypart",), scale=0.02, cache=tmp_path)
+    api.compare(mix="C1", **kw)
+    res = api.sweep(mixes=["C1"], **kw)
+    assert res.stats.simulated == 0
+    assert res.stats.cache_hits == 2
+
+
 def test_corun_reports_unified_keys():
     sd = api.corun(mix=tiny_mix())
     assert {"slowdown_cpu", "slowdown_gpu", "corun_cycles_cpu",

@@ -66,6 +66,24 @@ def test_compare_table(capsys):
         assert all(d in out for d in designs), out
 
 
+def test_run_defaults_to_the_fast_engine(capsys, monkeypatch):
+    import repro.engine.batch as batch_engine
+
+    built = []
+
+    class Spy(batch_engine.FastSimulation):
+        def __init__(self, *args, **kw):
+            built.append(self)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(batch_engine, "FastSimulation", Spy)
+    argv = ("run", "--mix", "C1", "--design", "waypart", "--scale", "0.05")
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0 and len(built) == 1
+    assert run_cli(capsys, *argv, "--engine", "reference") == default
+    assert len(built) == 1
+
+
 def test_engine_batch_alias_prints_the_fast_output(capsys):
     argv = ("run", "--mix", "kvcache", "--design", "kv-windowpin",
             "--scale", "0.05", "--engine")

@@ -5,16 +5,17 @@ import pytest
 from repro.config import default_system
 from repro.engine.simulator import Simulation
 from repro.experiments.designs import make_policy
+from repro.telemetry import EpochRecorder
 from repro.traces.mixes import build_mix
 
 
 def test_epoch_metrics_are_deltas():
     cfg = default_system()
     mix = build_mix("C1", cpu_refs=1500, gpu_refs=10_000)
-    sim = Simulation(cfg, make_policy("baseline"), mix, record_epochs=True)
-    res = sim.run()
-    assert len(res.epochs) >= 3
-    for e in res.epochs:
+    rec = EpochRecorder()
+    Simulation(cfg, make_policy("baseline"), mix, telemetry=rec).run()
+    assert len(rec.epochs) >= 3
+    for e in rec.epochs:
         assert e["ipc_cpu"] >= 0 and e["ipc_gpu"] >= 0
         assert e["weighted_ipc"] == pytest.approx(
             cfg.weight_cpu * e["ipc_cpu"] + cfg.weight_gpu * e["ipc_gpu"])
@@ -26,9 +27,9 @@ def test_gpu_instruction_scaling_in_objective():
     (Section V: weights make the classes 'equally important')."""
     cfg = default_system()
     mix = build_mix("C1", cpu_refs=1500, gpu_refs=10_000)
-    sim = Simulation(cfg, make_policy("baseline"), mix, record_epochs=True)
-    res = sim.run()
-    mid = res.epochs[len(res.epochs) // 2]
+    rec = EpochRecorder()
+    Simulation(cfg, make_policy("baseline"), mix, telemetry=rec).run()
+    mid = rec.epochs[len(rec.epochs) // 2]
     cpu_term = cfg.weight_cpu * mid["ipc_cpu"]
     gpu_term = cfg.weight_gpu * mid["ipc_gpu"]
     assert cpu_term > 0 and gpu_term > 0

@@ -4,13 +4,13 @@ import os
 
 import pytest
 
+from repro import api
 from repro.config import default_system
 from repro.experiments.designs import (ALL_DESIGNS, FIG5_DESIGNS,
                                        design_config, make_policy)
 from repro.experiments.report import (PERF_HEADERS, format_table,
                                       perf_csv_rows, to_csv)
-from repro.experiments.runner import (compare_on_mix, corun_metrics,
-                                      env_scale, geomean, run_design,
+from repro.experiments.runner import (env_scale, geomean, run_design,
                                       weighted_speedup)
 from repro.traces.mixes import build_mix
 
@@ -50,39 +50,39 @@ def test_weighted_speedup_math():
     assert combo.speedup_cpu == pytest.approx(1.0)
 
 
-def test_compare_on_mix_normalizes_to_baseline():
-    out = compare_on_mix(tiny(), ("waypart",), CFG)
+def test_compare_normalizes_to_baseline():
+    out = api.compare(mix=tiny(), designs=("waypart",), cfg=CFG)
     assert out["baseline"].weighted_speedup == pytest.approx(1.0)
     assert "waypart" in out
     assert out["waypart"].result.policy == "waypart"
 
 
-def test_corun_metrics_positive():
-    sd = corun_metrics(tiny(), CFG)
+def test_corun_positive():
+    sd = api.corun(mix=tiny(), cfg=CFG)
     assert sd["slowdown_cpu"] > 0.8
     assert sd["slowdown_gpu"] > 0.8
 
 
-def test_corun_metrics_gpu_only_mix():
+def test_corun_gpu_only_mix():
     """Regression: a mix with no CPU traces used to raise on the missing
     solo run instead of reporting NaN for the absent class."""
     import math
 
     from repro.traces.mixes import gpu_only
 
-    sd = corun_metrics(gpu_only(tiny()), CFG)
+    sd = api.corun(mix=gpu_only(tiny()), cfg=CFG)
     assert math.isnan(sd["slowdown_cpu"])
     assert sd["slowdown_gpu"] == pytest.approx(1.0, abs=0.05)
     assert sd["corun_cycles_cpu"] is None
     assert sd["corun_cycles_gpu"] > 0
 
 
-def test_corun_metrics_cpu_only_mix():
+def test_corun_cpu_only_mix():
     import math
 
     from repro.traces.mixes import cpu_only
 
-    sd = corun_metrics(cpu_only(tiny()), CFG)
+    sd = api.corun(mix=cpu_only(tiny()), cfg=CFG)
     assert math.isnan(sd["slowdown_gpu"])
     assert sd["slowdown_cpu"] == pytest.approx(1.0, abs=0.05)
 

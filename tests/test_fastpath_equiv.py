@@ -3,7 +3,7 @@
 The fast engine's contract is *bit-exact replay* — not approximate
 agreement — so every comparison here is full ``SimResult`` dataclass
 equality (cycles, IPCs, the whole stats dict, energy, per-agent metrics,
-policy end state, epoch log).  The grid covers the inlined policy fast
+policy end state).  The grid covers the inlined policy fast
 paths (baseline/hashcache/profess/waypart/hydrogen), the kv-* placement
 baselines, a custom policy subclass that forces every delegate
 fallback, warmup-boundary and seed variants, mixed cell shapes run back
@@ -22,7 +22,7 @@ import pytest
 from repro.config import default_system
 import repro.engine.batch as batch_engine
 from repro.engine.batch import FastSimulation
-from repro.engine.simulator import Simulation, simulate
+from repro.engine.simulator import Simulation, resolve_engine, simulate
 from repro.experiments.designs import design_config, make_policy
 from repro.hybrid.policies.hashcache import HAShCachePolicy
 from repro.traces.mixes import build_mix
@@ -110,14 +110,30 @@ def test_bit_exact_custom_policy_delegate_paths():
 
 
 def test_engine_kwarg_selects_fastpath(monkeypatch):
+    """``engine="fast"`` and the default both build the fast engine."""
+    built = []
+
+    class Spy(FastSimulation):
+        def __init__(self, *args, **kw):
+            built.append(self)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(batch_engine, "FastSimulation", Spy)
     mix = build_mix("C1", **TINY)
     cfg = design_config("hydrogen", default_system())
-    via_kw = simulate(cfg, make_policy("hydrogen"), mix, engine="fast")
-    monkeypatch.setenv("REPRO_ENGINE", "fast")
-    via_env = simulate(cfg, make_policy("hydrogen"), mix)
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    via_ref = simulate(cfg, make_policy("hydrogen"), mix)
-    assert via_kw == via_env == via_ref
+    ref = simulate(cfg, make_policy("hydrogen"), mix, engine="reference")
+    assert built == []
+    for kw in ({"engine": "fast"}, {}):
+        assert simulate(cfg, make_policy("hydrogen"), mix, **kw) == ref
+    assert len(built) == 2
+
+
+def test_resolve_engine_needs_a_name(monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE", "reference")   # no longer read
+    with pytest.raises(ValueError, match="unknown engine"):
+        resolve_engine(None)
+    assert resolve_engine("batch") == "fast"
+    assert resolve_engine("reference") == "reference"
 
 
 #: Heterogeneous cells: different designs, mixes, trace footprints,

@@ -9,6 +9,7 @@ from repro.config import default_system
 from repro.core.hydrogen import HydrogenPolicy
 from repro.engine.simulator import Simulation, simulate
 from repro.experiments.designs import make_policy
+from repro.telemetry import EpochRecorder
 from repro.traces.mixes import build_mix
 
 CFG = default_system()
@@ -93,9 +94,9 @@ def test_decoupled_beats_coupled_for_gpu_bandwidth():
 
 
 def test_epoch_tuning_changes_configuration():
-    res = simulate(CFG, HydrogenPolicy.full(), mid_mix("C5"),
-                   record_epochs=True)
+    rec = EpochRecorder()
+    res = simulate(CFG, HydrogenPolicy.full(), mid_mix("C5"), telemetry=rec)
     assert res.policy_state["tuner_steps"] >= 3
     configs = {(e.get("cap"), e.get("bw"), e.get("tok"))
-               for e in res.epochs}
+               for e in rec.epochs}
     assert len(configs) >= 2  # the search actually moved

@@ -10,6 +10,7 @@ from repro.engine.events import EventQueue
 from repro.engine.simulator import simulate
 from repro.engine.stats import Stats
 from repro.hybrid.controller import HybridMemoryController
+from repro.telemetry import EpochRecorder
 from repro.traces.mixes import build_mix
 
 
@@ -64,8 +65,9 @@ def test_agent_names_unique_and_labeled():
 def test_weight_overrides_affect_objective():
     cfg = replace(default_system(), weight_cpu=1.0, weight_gpu=1.0)
     mix = build_mix("C1", cpu_refs=800, gpu_refs=4000)
-    res = simulate(cfg, HydrogenPolicy.full(), mix, record_epochs=True)
-    e = res.epochs[-1]
+    rec = EpochRecorder()
+    simulate(cfg, HydrogenPolicy.full(), mix, telemetry=rec)
+    e = rec.epochs[-1]
     assert e["weighted_ipc"] == pytest.approx(e["ipc_cpu"] + e["ipc_gpu"])
 
 

@@ -6,6 +6,7 @@ from repro.config import default_system
 from repro.core.hydrogen import HydrogenPolicy
 from repro.engine.simulator import Simulation, simulate
 from repro.experiments.designs import make_policy
+from repro.telemetry import EpochRecorder
 from repro.traces.mixes import build_mix, cpu_only, gpu_only
 
 CFG = default_system()
@@ -63,11 +64,11 @@ def test_energy_accounting_positive():
 
 
 def test_epoch_recording():
-    sim = Simulation(CFG, make_policy("baseline"), tiny_mix(),
-                     record_epochs=True)
-    res = sim.run()
-    assert len(res.epochs) > 2
-    assert all("weighted_ipc" in e for e in res.epochs)
+    rec = EpochRecorder()
+    Simulation(CFG, make_policy("baseline"), tiny_mix(),
+               telemetry=rec).run()
+    assert len(rec.epochs) > 2
+    assert all("weighted_ipc" in e for e in rec.epochs)
 
 
 def test_hydrogen_full_runs_and_tunes():

@@ -4,13 +4,13 @@ import pickle
 
 import pytest
 
+from repro import api
 from repro.config import default_system
 from repro.experiments.cache import SweepCache, resolve_cache, stable_key
-from repro.experiments.designs import make_policy
-from repro.experiments.runner import compare_on_mix, corun_metrics
+from repro.experiments.runner import run_design, slowdown_metrics
 from repro.experiments.sweep import (MixSpec, SweepEngine, SweepJob,
                                      corun_grid, resolve_workers, sweep_grid)
-from repro.traces.mixes import build_mix
+from repro.traces.mixes import build_mix, cpu_only, gpu_only
 
 CFG = default_system()
 
@@ -257,29 +257,30 @@ def test_sweep_grid_layout_and_baseline_normalization():
     assert out["waypart"]["C1"].result.policy == "waypart"
 
 
-def test_sweep_grid_matches_compare_on_mix():
+def test_sweep_grid_matches_compare():
     mix = build_mix("C1", seed=4, **TINY)
-    single = compare_on_mix(mix, ("waypart",), CFG)
+    single = api.compare(mix=mix, designs=("waypart",), cfg=CFG)
     swept = sweep_grid([spec()], ("waypart",), CFG)
     for d in ("baseline", "waypart"):
         assert single[d].weighted_speedup == pytest.approx(
             swept[d]["C1"].weighted_speedup)
 
 
-def test_corun_grid_matches_serial_corun_metrics():
+def test_corun_matches_hand_run_cells():
     mix = build_mix("C1", seed=4, **TINY)
-    # A policy factory takes corun_metrics' serial in-process path.
-    serial = corun_metrics(mix, CFG, lambda: make_policy("baseline"))
-    swept = corun_grid([spec()], CFG)["C1"]
-    assert swept["slowdown_cpu"] == pytest.approx(serial["slowdown_cpu"])
-    assert swept["slowdown_gpu"] == pytest.approx(serial["slowdown_gpu"])
+    # The reference engine by hand; the facade and the grid run "fast".
+    by_hand = slowdown_metrics(
+        *(run_design("baseline", m, CFG, engine="reference")
+          for m in (mix, cpu_only(mix), gpu_only(mix))))
+    assert api.corun(mix=mix, cfg=CFG) == by_hand
+    assert corun_grid([spec()], CFG)["C1"] == by_hand
 
 
-def test_compare_on_mix_uses_cache(tmp_path):
+def test_compare_uses_cache(tmp_path):
     mix = build_mix("C1", seed=4, **TINY)
     cache = SweepCache(tmp_path)
-    a = compare_on_mix(mix, ("waypart",), CFG, cache=cache)
-    b = compare_on_mix(mix, ("waypart",), CFG, cache=cache)
+    a = api.compare(mix=mix, designs=("waypart",), cfg=CFG, cache=cache)
+    b = api.compare(mix=mix, designs=("waypart",), cfg=CFG, cache=cache)
     assert cache.hits == 2 and cache.stores == 2
     assert a["waypart"].weighted_speedup == pytest.approx(
         b["waypart"].weighted_speedup)
