@@ -26,7 +26,7 @@ from repro.core.reconfig import Reconfigurator
 from repro.core.tokens import (DEFAULT_TOKEN_FRAC, TOKEN_LEVELS,
                                PerChannelFaucets, TokenFaucet)
 from repro.core.tuner import HillClimber, ParamSpace
-from repro.hybrid.policies.base import PartitionPolicy
+from repro.hybrid.policies.base import PartitionPolicy, inlined
 from repro.hybrid.setassoc import HITS, KLASS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -145,18 +145,22 @@ class HydrogenPolicy(PartitionPolicy):
     # ``self.map`` is None only before ``attach``; the asserts narrow the
     # Optional for type checkers and vanish under ``python -O``.
 
+    @inlined("decoupled-map")
     def way_channel(self, set_id: int, way: int) -> int:
         assert self.map is not None
         return self.map.channel(set_id, way)
 
+    @inlined("decoupled-map")
     def way_owner(self, set_id: int, way: int) -> str:
         assert self.map is not None
         return self.map.owner(set_id, way)
 
+    @inlined("decoupled-map")
     def eligible_ways(self, set_id: int, klass: str) -> tuple[int, ...]:
         assert self.map is not None
         return self.map.ways_of(set_id, klass)
 
+    @inlined("channel-fixed")
     def channel_changed(self, set_id: int, way: int, gen: int) -> bool:
         # The way->channel assignment is invariant across reconfigurations
         # (Section IV-D); only ownership moves, handled via way_owner.
@@ -164,6 +168,7 @@ class HydrogenPolicy(PartitionPolicy):
 
     # -- migration ------------------------------------------------------------------
 
+    @inlined("token-guard")
     def allow_migration(self, klass: str, block: int, cost: int,
                         is_write: bool) -> bool:
         if klass != "gpu" or self.faucet is None:
@@ -175,6 +180,7 @@ class HydrogenPolicy(PartitionPolicy):
 
     # -- fast-memory swap (Section IV-A) -----------------------------------------------
 
+    @inlined("hydrogen-swap")
     def on_fast_hit(self, set_id: int, way: int, entry: list[Any],
                     klass: str) -> int | None:
         if klass != "cpu" or self.swap_mode == "off":

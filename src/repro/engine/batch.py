@@ -32,12 +32,12 @@ one-release alias of ``"fast"`` and builds the same class.
 
 **Exactness guarantee:** every seq consumption (agent wakeups, channel
 release reservations, completions) follows the reference pattern, float
-expressions keep the reference's operand order, and policy hooks are
-only inlined under the specialization flags computed by
-:class:`~repro.engine.fastpath.FastHybridController` (anything
-overridden is delegated with the reference call pattern).
-``test_fastpath_equiv.py`` asserts full :class:`SimResult` equality
-against the reference loop for every design family.
+expressions keep the reference's operand order, and a policy hook runs
+inline only as a kernel its policy declares (the specialization flags of
+:class:`~repro.engine.fastpath.FastHybridController`); every other hook
+is delegated with the reference call pattern.  ``test_fastpath_equiv.py``
+asserts full :class:`SimResult` equality against the reference loop for
+every design family; ``test_golden.py`` pins the reference's outputs.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from repro.engine import _kernels
 from repro.engine.fastpath import (FastAgent, FastChannel, FastEventQueue,
                                    FastHybridController)
 from repro.engine.simulator import Simulation
-from repro.hybrid.policies.profess import P_LEVELS
 from repro.mem.device import MemoryDevice
 
 #: Compiled bank-service kernel, or ``None`` for the pure-Python inline
@@ -263,6 +262,7 @@ def _advance_cell(cell: "FastSimulation") -> bool:
     hc_tag_lat = ctrl._hc_tag_lat if probe_mode in (2, 4) else 0.0
     prof_random = ctrl._prof_random if mig_mode == 2 else None
     prof_levels = ctrl._prof_levels if mig_mode == 2 else None
+    prof_ladder = ctrl._prof_ladder if mig_mode == 2 else None
     geo = ctrl._geo
     geo_gen = ctrl._geo_gen
     geo_fill = ctrl._geo_fill
@@ -463,7 +463,7 @@ def _advance_cell(cell: "FastSimulation") -> bool:
             elif mig_mode == 3:
                 migrate = not (is_write and klass == "gpu")
             elif mig_mode == 2:
-                migrate = prof_random() < P_LEVELS[prof_levels[klass]]
+                migrate = prof_random() < prof_ladder[prof_levels[klass]]
             else:
                 migrate = policy.allow_migration(klass, block, cost,
                                                  is_write)

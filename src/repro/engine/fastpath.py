@@ -40,12 +40,12 @@ Serializing work — epoch/faucet/phase ticks, reconfigurations, token
 accounting, policy adaptation — still runs through the scalar event
 core, exactly as the reference does.
 
-**Exactness guarantee:** policy *decisions* are only inlined when the
-policy inherits the known base implementation (checked by method
-identity in :class:`FastHybridController`); anything overridden is
-delegated to the policy object with the reference call pattern, so
-third-party policies run bit-exact too.  The only contract relied upon
-is the documented purity of the geometry hooks
+**Exactness guarantee:** a policy *decision* runs inline only as a
+kernel of :data:`KERNELS` that the policy declares on the hook it
+inherits (:meth:`~repro.hybrid.policies.base.PartitionPolicy.kernel`);
+every other hook is delegated to the policy object with the reference
+call pattern, so third-party policies run bit-exact too.  The only
+contract relied upon is the documented purity of the geometry hooks
 (``way_channel``/``way_owner``/``eligible_ways`` are pure in
 ``(set_id, way, klass, generation)``); policies with geometry that
 changes without a generation bump must set ``geometry_static = False``.
@@ -58,18 +58,30 @@ from collections import deque
 import numpy as np
 
 from repro.config import MemConfig
-from repro.core.hydrogen import HydrogenPolicy
 from repro.core.partition import DecoupledMap, VectorDecoupledMap
 from repro.engine.agents import TraceAgent
 from repro.engine.events import EventQueue
 from repro.engine.stats import Stats
 from repro.hybrid.controller import HybridMemoryController
-from repro.hybrid.policies.base import PartitionPolicy
-from repro.hybrid.policies.hashcache import HAShCachePolicy
-from repro.hybrid.policies.profess import ProfessPolicy
-from repro.hybrid.policies.waypart import WayPartPolicy
 from repro.mem.device import MemoryDevice
 from repro.traces.base import Trace
+
+#: The closed list of inline kernels of the fused loop, per decision hook,
+#: in the order of the hook's mode flag: a flag is the position of the
+#: kernel its hook resolves to (``_mig_mode == 4`` runs "token-guard"), and
+#: "delegate" calls the policy with the reference call pattern.  Policies
+#: declare them with :func:`~repro.hybrid.policies.base.inlined`.
+KERNELS = (
+    ("alternate_set", ("no-alternate", "delegate", "hashcache-chain")),
+    ("extra_probe_latency", ("no-probe", "delegate", "hashcache-probe")),
+    ("allow_migration", ("always", "delegate", "profess-ladder",
+                         "write-around", "token-guard")),
+    ("channel_changed", ("channel-fixed", "delegate")),
+    ("on_fast_hit", ("no-swap", "hydrogen-swap", "delegate")),
+    ("pick_insertion", ("delegate", "home-set", "hashcache-chain")),
+    ("pick_victim", ("delegate", "lru", "fewest-hits")),
+    ("way_channel", ("delegate", "decoupled-map", "spread", "coupled")),
+)
 
 
 class FastEventQueue(EventQueue):
@@ -245,74 +257,37 @@ class FastHybridController(HybridMemoryController):
             policy.map = VectorDecoupledMap(m.assoc, m.channels, m.cap, m.bw,
                                             m.cap_units,
                                             num_sets=cfg.num_sets)
-        # Specialization flags: a decision hook is inlined only when the
-        # policy inherits a known implementation (checked by method
-        # identity); otherwise it is delegated with the reference call
-        # pattern, preserving bit-exactness for custom policies.
-        cls = type(policy)
-        base = PartitionPolicy
-        # Alternate-set probing: 0 = never, 2 = HAShCache chain inline,
-        # 1 = delegate.  (HAShCache with chaining disabled always returns
-        # None — ``chaining`` is frozen at attach time.)
-        hc_chain = (cls.alternate_set is HAShCachePolicy.alternate_set
-                    and cls._chain_set is HAShCachePolicy._chain_set)
-        if cls.alternate_set is base.alternate_set:
+        # Specialization flags, one per hook row of KERNELS (see _mode).
+        # HAShCache's ``chaining`` is frozen at attach time.  Without it
+        # the chain kernel never finds an alternate set, and the probe
+        # kernel charges the flat tag latency (mode 4).
+        self._alt_mode = self._mode("alternate_set")
+        if self._alt_mode == 2 and not policy.chaining:
             self._alt_mode = 0
-        elif hc_chain and not policy.chaining:
-            self._alt_mode = 0
-        elif hc_chain:
-            self._alt_mode = 2
-        else:
-            self._alt_mode = 1
-        # Extra probe latency: 0 = none, 2 = HAShCache chained probe,
-        # 4 = HAShCache flat tag latency, 1 = delegate.
-        if cls.extra_probe_latency is base.extra_probe_latency:
-            self._probe_mode = 0
-        elif cls.extra_probe_latency is HAShCachePolicy.extra_probe_latency:
+        self._probe_mode = self._mode("extra_probe_latency")
+        if self._probe_mode == 2:
             self._probe_mode = 2 if policy.chaining else 4
             self._hc_chain_lat = policy.chain_probe_latency
             self._hc_tag_lat = policy.extra_tag_latency
-        else:
-            self._probe_mode = 1
-        # Migration gate: 0 = always, 2 = ProFess probability ladder,
-        # 3 = HAShCache write-around, 4 = Hydrogen token guard inline
-        # (GPU misses still consult the faucet), 1 = delegate.
-        if cls.allow_migration is base.allow_migration:
-            self._mig_mode = 0
-        elif (cls.allow_migration is ProfessPolicy.allow_migration
-                and cls.p_of is ProfessPolicy.p_of):
-            self._mig_mode = 2
+        # GPU misses under the token guard still consult the faucet.
+        self._mig_mode = self._mode("allow_migration")
+        if self._mig_mode == 2:
             self._prof_random = policy._rng.random
             self._prof_levels = policy.levels
-        elif cls.allow_migration is HAShCachePolicy.allow_migration:
-            self._mig_mode = 3
-        elif cls.allow_migration is HydrogenPolicy.allow_migration:
-            self._mig_mode = 4
-        else:
-            self._mig_mode = 1
-        self._chan_changed_call = (
-            cls.channel_changed is not base.channel_changed
-            and cls.channel_changed is not HydrogenPolicy.channel_changed)
-        if cls.on_fast_hit is base.on_fast_hit:
-            self._hit_hook = 0      # never fires
-        elif cls.on_fast_hit is HydrogenPolicy.on_fast_hit:
-            self._hit_hook = 1      # RNG-free early-outs inlined
-        else:
-            self._hit_hook = 2      # always delegate
-        if (cls.pick_insertion is base.pick_insertion
-                and cls.pick_victim is base.pick_victim):
-            self._pick_mode = 1     # free way, else LRU among eligible
-        elif (cls.pick_insertion is base.pick_insertion
-                and cls.pick_victim is ProfessPolicy.pick_victim):
-            self._pick_mode = 2     # free way, else fewest-hits (MDM)
-        elif (cls.pick_insertion is HAShCachePolicy.pick_insertion
-                and cls.pick_victim is base.pick_victim):
-            # HAShCache: primary slot, else free chained slot, else evict
-            # the primary occupant (chaining off degrades to mode 1).
-            # Mode 3 reuses the chain set computed by alt-mode 2, so it
-            # additionally requires the un-overridden chain hash.
-            self._pick_mode = 3 if (policy.chaining and hc_chain) else (
-                0 if policy.chaining else 1)
+            self._prof_ladder = policy.ladder
+        self._chan_changed_call = self._mode("channel_changed")
+        # Hydrogen's swap kernel inlines the RNG-free early-outs only.
+        self._hit_hook = self._mode("on_fast_hit")
+        # Home-set insertion (also the chain kernel without chaining)
+        # takes the victim kernel's mode: a free way, else LRU (1) or
+        # fewest hits (2, MDM).  Mode 3 takes HAShCache's primary slot,
+        # else a free chained slot, else evicts the primary occupant,
+        # reusing alt mode 2's chain set (the shared kernel ensures it).
+        ins = self._mode("pick_insertion")
+        if ins == 2 and policy.chaining:
+            self._pick_mode = 3
+        elif ins:
+            self._pick_mode = self._mode("pick_victim")
         else:
             self._pick_mode = 0     # delegate to the policy
         self._static_geometry = bool(getattr(policy, "geometry_static", True))
@@ -326,40 +301,34 @@ class FastHybridController(HybridMemoryController):
         # eligible_gpu), built lazily, invalidated on generation bumps.
         # Rows are hash-consed whenever the geometry hooks are known to
         # be pure in a cheap per-set key (``_geo_mode``):
-        #   1 = Hydrogen map tables: key packs (rotation, CPU-ownership
-        #       mask); a reconfiguration only rebuilds the key array
-        #       (one vectorized pass), never the rows.
-        #   2 = base geometry (baseline/HAShCache/ProFess): the default
-        #       hooks are pure in ``set_id % channels``.
-        #   3 = WayPart: the coupled layout ignores ``set_id`` entirely.
+        #   1 = "decoupled-map" (Hydrogen's map tables): key packs
+        #       (rotation, CPU-ownership mask); a reconfiguration only
+        #       rebuilds the key array (one vectorized pass), never the rows.
+        #   2 = "spread" (the base hooks): pure in ``set_id % channels``.
+        #   3 = "coupled" (WayPart): the layout ignores ``set_id`` entirely.
         #   0 = per-set lazy caching (anything else, e.g. SetPartition's
         #       per-set hash), invalidated on generation bumps.
         self._geo: list = [None] * self._nsets
         self._geo_gen = policy.generation
-        if (self._static_geometry
-                and cls.way_channel is HydrogenPolicy.way_channel
-                and cls.way_owner is HydrogenPolicy.way_owner
-                and cls.eligible_ways is HydrogenPolicy.eligible_ways
-                and isinstance(getattr(policy, "map", None),
-                               VectorDecoupledMap)
-                and policy.map.num_sets == self._nsets):
-            self._geo_mode = 1
-        elif (self._static_geometry
-                and cls.way_channel is base.way_channel
-                and cls.way_owner is base.way_owner
-                and cls.eligible_ways is base.eligible_ways):
-            self._geo_mode = 2
-        elif (self._static_geometry
-                and cls.way_channel is WayPartPolicy.way_channel
-                and cls.way_owner is WayPartPolicy.way_owner
-                and cls.eligible_ways is WayPartPolicy.eligible_ways):
-            self._geo_mode = 3
-        else:
-            self._geo_mode = 0
+        geo = self._mode("way_channel", "way_owner", "eligible_ways")
+        self._geo_mode = geo if self._static_geometry else 0
         self._geo_memo: dict[int, tuple] = {}
         self._geo_keys: list[int] | None = None
         if self._geo_mode == 1:
-            self._geo_refresh_keys()
+            self._geo_refresh_keys()    # mode 0 unless a VectorDecoupledMap
+
+    def _mode(self, *hooks: str) -> int:
+        """Position, in the KERNELS row of ``hooks[0]``, of the kernel all
+        ``hooks`` resolve to ("delegate" if they differ); a kernel the
+        engine does not implement there is a ValueError."""
+        kernels = next(ks for hook, ks in KERNELS if hook == hooks[0])
+        names = {self.policy.kernel(hook) for hook in hooks}
+        name = names.pop() if len(names) == 1 else "delegate"
+        if name not in kernels:
+            raise ValueError(
+                f"{type(self.policy).__name__}.{hooks[0]} declares inline "
+                f"kernel {name!r}; the fast engine implements {kernels}")
+        return kernels.index(name)
 
     # -- geometry rows -------------------------------------------------------
 

@@ -12,17 +12,29 @@ A policy owns every *decision* the hybrid memory controller makes:
   token faucet, ProFess's probability updates).
 
 The controller owns the *mechanics*: remap probes, channel traffic,
-writebacks, lazy-reconfiguration invalidations, statistics.
+writebacks, lazy-reconfiguration invalidations, statistics.  A hook the
+fast engine runs inline declares its twin there with :func:`inlined`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from repro.telemetry import NULL_SINK, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hybrid.controller import HybridMemoryController
+
+_Hook = TypeVar("_Hook", bound=Callable[..., Any])
+
+
+def inlined(kernel: str) -> Callable[[_Hook], _Hook]:
+    """Declare that the fast engine may run ``kernel`` in place of the
+    hook; returns the hook itself, so declaring costs nothing per call."""
+    def declare(hook: _Hook) -> _Hook:
+        vars(hook)["inline_kernel"] = kernel
+        return hook
+    return declare
 
 
 class PartitionPolicy:
@@ -54,29 +66,47 @@ class PartitionPolicy:
         self.ctrl = ctrl
         self.telemetry = getattr(ctrl, "telemetry", NULL_SINK)
 
+    @classmethod
+    def kernel(cls, hook: str) -> str:
+        """The kernel :func:`inlined` declared on the implementation of
+        ``hook`` this class inherits, or "delegate": when it declares none,
+        or when the class overrides another hook declaring the same kernel
+        (a kernel mirrors all its hooks) without declaring it again."""
+        name = getattr(getattr(cls, hook), "inline_kernel", "delegate")
+        overridden = any(
+            getattr(impl, "inline_kernel", None) == name
+            and getattr(getattr(cls, attr), "inline_kernel", None) != name
+            for owner in cls.__mro__ for attr, impl in vars(owner).items())
+        return "delegate" if overridden else name
+
     # -- geometry ------------------------------------------------------------
 
+    @inlined("spread")
     def way_channel(self, set_id: int, way: int) -> int:
         """Fast channel serving (set, way).  Default spreads all ways of
         consecutive sets over all channels."""
         return (set_id + way) % self.ctrl.fast.cfg.channels
 
+    @inlined("spread")
     def way_owner(self, set_id: int, way: int) -> str:
         """'cpu' / 'gpu' / 'shared' ownership of a way (the alloc bit)."""
         return "shared"
 
+    @inlined("spread")
     def eligible_ways(self, set_id: int, klass: str) -> tuple[int, ...]:
         """Ways ``klass`` may insert into (and evict from)."""
         return self._all_ways
 
     # -- decisions -----------------------------------------------------------
 
+    @inlined("always")
     def allow_migration(self, klass: str, block: int, cost: int,
                         is_write: bool) -> bool:
         """May this miss migrate its block?  ``cost`` is the token cost the
         migration would incur (1 refill, 2 with dirty writeback / flat swap)."""
         return True
 
+    @inlined("lru")
     def pick_victim(self, set_id: int, klass: str) -> int | None:
         """Way to fill on migration (free first, else LRU among eligible)."""
         store = self.ctrl.store
@@ -88,22 +118,26 @@ class PartitionPolicy:
             return free
         return store.lru_way(set_id, cands)
 
+    @inlined("no-alternate")
     def alternate_set(self, set_id: int, block: int) -> int | None:
         """Optional second set to probe on a primary miss (chaining)."""
         return None
 
+    @inlined("no-probe")
     def extra_probe_latency(self, klass: str, chained: bool) -> float:
         """Additional tag-probe latency (pseudo-associativity etc.)."""
         return 0.0
 
     # -- hooks ----------------------------------------------------------------
 
+    @inlined("no-swap")
     def on_fast_hit(self, set_id: int, way: int, entry: list,
                     klass: str) -> int | None:
         """Called on a fast-memory hit; may return a way to swap the hit
         block with (Hydrogen's fast-memory swap), or None."""
         return None
 
+    @inlined("channel-fixed")
     def channel_changed(self, set_id: int, way: int, gen: int) -> bool:
         """Did the physical channel of (set, way) change since generation
         ``gen``?  Stale blocks are lazily invalidated by the controller."""
@@ -119,6 +153,7 @@ class PartitionPolicy:
     def on_phase(self, now: float) -> None:
         """Exploration-phase boundary hook (Section IV-C)."""
 
+    @inlined("home-set")
     def pick_insertion(self, set_id: int, block: int,
                        klass: str) -> tuple[int, int] | None:
         """(set, way) to fill on migration; default delegates to

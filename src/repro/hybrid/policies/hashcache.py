@@ -9,48 +9,26 @@ Mechanisms reimplemented:
   runner gives this policy an assoc=1 geometry (same capacity, 4x the
   sets).  For the Fig. 11 associativity sweep the paper disables chaining
   at A>1 and charges extra tag latency; ``chaining`` mirrors that.
-* **CPU request prioritization** (PrIS) in the memory-controller queues of
-  both tiers (latency-sensitive CPU requests jump ahead of GPU requests).
-* **Slow-memory bypass** (ByE): write misses bypass the DRAM cache
-  (write-around to the slow tier), avoiding write-allocate fills; read
-  misses always migrate — which is exactly why, per the Hydrogen paper, the
+* **CPU request prioritization** (PrIS) in the DRAM-cache (fast-tier)
+  controller's queues (latency-sensitive CPU requests jump ahead of GPU
+  requests); the off-package slow-tier controller is unmodified.
+* **Slow-memory bypass** (ByE): the GPU's write misses bypass the DRAM
+  cache (write-around to the slow tier), avoiding write-allocate fills for
+  the latency-tolerant class; CPU misses and GPU read misses always
+  migrate — which is exactly why, per the Hydrogen paper, the
   direct-mapped organization's conflict misses "stress the slow memory
   bandwidth".
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.config import SystemConfig
 from repro.core.partition import splitmix64
-from repro.hybrid.policies.base import PartitionPolicy
-
-
-class MissFilter:
-    """Bounded recency table of recently missed blocks.
-
-    Available for stricter bypass variants (fill only on the second miss
-    within a window); the default HAShCache model uses the simpler
-    GPU-write-around ByE below."""
-
-    def __init__(self, capacity: int = 8192) -> None:
-        self.capacity = capacity
-        self._seen: OrderedDict[int, None] = OrderedDict()
-
-    def second_miss(self, block: int) -> bool:
-        """Record a miss; True if the block missed recently before."""
-        if block in self._seen:
-            self._seen.move_to_end(block)
-            return True
-        self._seen[block] = None
-        if len(self._seen) > self.capacity:
-            self._seen.popitem(last=False)
-        return False
+from repro.hybrid.policies.base import PartitionPolicy, inlined
 
 
 class HAShCachePolicy(PartitionPolicy):
-    """Direct-mapped + chaining + CPU priority + second-miss bypass."""
+    """Direct-mapped + chaining + CPU priority + GPU write-around."""
 
     name = "hashcache"
 
@@ -90,15 +68,18 @@ class HAShCachePolicy(PartitionPolicy):
 
     # -- chaining --------------------------------------------------------------
 
+    @inlined("hashcache-chain")
     def _chain_set(self, block: int) -> int:
         return splitmix64(block * 2 + 1) % self.ctrl.cfg.num_sets
 
+    @inlined("hashcache-chain")
     def alternate_set(self, set_id: int, block: int) -> int | None:
         if not self.chaining:
             return None
         alt = self._chain_set(block)
         return alt if alt != set_id else None
 
+    @inlined("hashcache-probe")
     def extra_probe_latency(self, klass: str, chained: bool) -> float:
         if self.chaining:
             # A chained hit/insert pays a second serialized DRAM tag probe.
@@ -107,12 +88,12 @@ class HAShCachePolicy(PartitionPolicy):
         # (Fig. 11 methodology).
         return self.extra_tag_latency
 
+    @inlined("hashcache-chain")
     def pick_insertion(self, set_id: int, block: int,
                        klass: str) -> tuple[int, int] | None:
-        store = self.ctrl.store
         if not self.chaining:
-            way = self.pick_victim(set_id, klass)
-            return (set_id, way) if way is not None else None
+            return super().pick_insertion(set_id, block, klass)
+        store = self.ctrl.store
         # Direct-mapped: prefer the primary slot; if occupied, fall back to
         # a free chained slot; otherwise evict the primary occupant.
         if store.entry(set_id, 0) is None:
@@ -124,6 +105,7 @@ class HAShCachePolicy(PartitionPolicy):
 
     # -- bypass -------------------------------------------------------------------
 
+    @inlined("write-around")
     def allow_migration(self, klass: str, block: int, cost: int,
                         is_write: bool) -> bool:
         # ByE: bypass the DRAM cache for the latency-tolerant GPU's write

@@ -46,8 +46,7 @@ N_LAYERS_DEFAULT = 8
 class WindowPinPolicy(PartitionPolicy):
     """Pin the re-referenced window; stream past single-use tokens.
 
-    A bounded insertion-ordered recency table (the ``MissFilter`` idiom
-    of :mod:`repro.hybrid.policies.hashcache`) tracks recently missed
+    A bounded insertion-ordered recency table tracks recently missed
     GPU blocks; a GPU miss earns a migration only when the block missed
     within the window before.  Attention-window and sink tokens re-miss
     every decode step until cached, so the hot set is pinned; the

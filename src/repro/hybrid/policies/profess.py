@@ -25,13 +25,7 @@ from __future__ import annotations
 
 import random
 
-from repro.hybrid.policies.base import PartitionPolicy
-
-#: Discrete migration-probability ladder.  ProFess's majority-decision
-#: mechanism is deliberately conservative: it tempers migration rates for
-#: fairness but never collapses a process's caching ability, so the ladder
-#: floor stays at a workable probability.
-P_LEVELS: tuple[float, ...] = (0.35, 0.5, 0.65, 0.8, 0.9, 1.0)
+from repro.hybrid.policies.base import PartitionPolicy, inlined
 
 #: Slow-tier bus utilization above which migrations are considered to be
 #: fighting over slow bandwidth.
@@ -42,6 +36,12 @@ class ProfessPolicy(PartitionPolicy):
     """Probabilistic migration control with fairness adaptation."""
 
     name = "profess"
+    #: Discrete migration-probability ladder, indexed by ``levels``.
+    #: ProFess's majority-decision mechanism is deliberately conservative:
+    #: it tempers migration rates for fairness but never collapses a
+    #: process's caching ability, so the ladder floor stays at a workable
+    #: probability.
+    ladder: tuple[float, ...] = (0.35, 0.5, 0.65, 0.8, 0.9, 1.0)
 
     def __init__(self, seed: int = 23, start_level: int = 5) -> None:
         super().__init__()
@@ -53,13 +53,16 @@ class ProfessPolicy(PartitionPolicy):
 
     # -- migration --------------------------------------------------------------
 
+    @inlined("profess-ladder")
     def p_of(self, klass: str) -> float:
-        return P_LEVELS[self.levels[klass]]
+        return self.ladder[self.levels[klass]]
 
+    @inlined("profess-ladder")
     def allow_migration(self, klass: str, block: int, cost: int,
                         is_write: bool) -> bool:
         return self._rng.random() < self.p_of(klass)
 
+    @inlined("fewest-hits")
     def pick_victim(self, set_id: int, klass: str) -> int | None:
         store = self.ctrl.store
         cands = self.eligible_ways(set_id, klass)
@@ -100,7 +103,7 @@ class ProfessPolicy(PartitionPolicy):
             self._step("gpu", +1)
 
     def _step(self, klass: str, direction: int) -> None:
-        self.levels[klass] = min(len(P_LEVELS) - 1,
+        self.levels[klass] = min(len(self.ladder) - 1,
                                  max(0, self.levels[klass] + direction))
 
     def describe(self) -> dict:

@@ -11,7 +11,7 @@ performance under WayPart because it only gets 25% of the fast bandwidth.
 from __future__ import annotations
 
 from repro.core.partition import coupled_channel
-from repro.hybrid.policies.base import PartitionPolicy
+from repro.hybrid.policies.base import PartitionPolicy, inlined
 
 
 class WayPartPolicy(PartitionPolicy):
@@ -34,13 +34,16 @@ class WayPartPolicy(PartitionPolicy):
         self._cpu_ways = tuple(range(n_cpu))
         self._gpu_ways = tuple(range(n_cpu, assoc))
 
+    @inlined("coupled")
     def way_channel(self, set_id: int, way: int) -> int:
         return coupled_channel(set_id, way, self.ctrl.cfg.hybrid.assoc,
                                self.ctrl.fast.cfg.channels)
 
+    @inlined("coupled")
     def way_owner(self, set_id: int, way: int) -> str:
         return "cpu" if way in self._cpu_ways else "gpu"
 
+    @inlined("coupled")
     def eligible_ways(self, set_id: int, klass: str) -> tuple[int, ...]:
         return self._cpu_ways if klass == "cpu" else self._gpu_ways
 

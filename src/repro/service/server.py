@@ -613,7 +613,7 @@ class CampaignServer:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = _int_param(headers.get("content-length"), "Content-Length")
         if length > _MAX_BODY:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -642,7 +642,8 @@ class CampaignServer:
             if camp is None or tail not in ("", "stream"):
                 raise _HttpError(404, f"no such resource {path!r}")
             if tail == "stream":
-                start = _int_param(params, "from", 0)
+                start = _int_param(params.get("from", [None])[-1],
+                                   "'from' parameter")
                 await self._stream(camp, writer, start=start)
                 return 200
             await _send_json(writer, 200, camp.status().to_json())
@@ -732,15 +733,15 @@ class _HttpError(Exception):
         self.headers = headers
 
 
-def _int_param(params: dict[str, list[str]], name: str,
-               default: int) -> int:
-    raw = params.get(name, [str(default)])[-1]
+def _int_param(raw: str | None, name: str) -> int:
+    """A query parameter or header value as an int >= 0 (0 when absent
+    or empty); anything else is a 400 naming ``name``."""
     try:
-        value = int(raw or default)
+        value = int(raw or 0)
     except ValueError:
-        raise _HttpError(400, f"bad {name!r} parameter {raw!r}") from None
+        raise _HttpError(400, f"bad {name} {raw!r}") from None
     if value < 0:
-        raise _HttpError(400, f"{name!r} must be >= 0, got {value}")
+        raise _HttpError(400, f"{name} must be >= 0, got {value}")
     return value
 
 

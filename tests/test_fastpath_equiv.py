@@ -3,12 +3,13 @@
 The fast engine's contract is *bit-exact replay* — not approximate
 agreement — so every comparison here is full ``SimResult`` dataclass
 equality (cycles, IPCs, the whole stats dict, energy, per-agent metrics,
-policy end state).  The grid covers the inlined policy fast
-paths (baseline/hashcache/profess/waypart/hydrogen), the kv-* placement
-baselines, a custom policy subclass that forces every delegate
-fallback, warmup-boundary and seed variants, mixed cell shapes run back
-to back in one process, the ``"batch"`` alias, and both the
-numba-absent and numba-present kernel selections.
+policy end state).  The grid covers every inline kernel (every
+registered design, plus HAShCache on the system geometry), the kv-*
+placement baselines, a custom policy subclass that forces every delegate
+fallback, one subclass per companion override of a shared kernel,
+warmup-boundary and seed variants, mixed cell shapes run back to back in
+one process, the ``"batch"`` alias, and both the numba-absent and
+numba-present bank-service selections.
 """
 
 from __future__ import annotations
@@ -19,36 +20,55 @@ import types
 
 import pytest
 
-from repro.config import default_system
 import repro.engine.batch as batch_engine
+from repro.config import default_system
+from repro.core.hydrogen import HydrogenPolicy
 from repro.engine.batch import FastSimulation
 from repro.engine.simulator import Simulation, resolve_engine, simulate
 from repro.experiments.designs import design_config, make_policy
 from repro.hybrid.policies.hashcache import HAShCachePolicy
+from repro.hybrid.policies.profess import ProfessPolicy
+from repro.hybrid.policies.waypart import WayPartPolicy
 from repro.traces.mixes import build_mix
 
 TINY = dict(cpu_refs=1500, gpu_refs=7000)
 
-#: Designs exercising every inline mode of the fast controller: base
+#: Designs exercising every inline kernel of the fast controller: base
 #: hooks, HAShCache chaining + alternate sets, ProFess probabilistic
-#: migration, WayPart geometry, and Hydrogen's decoupled map + tokens.
-DESIGNS = ("baseline", "hashcache", "profess", "waypart",
-           "hydrogen-dp", "hydrogen")
+#: migration, WayPart geometry, Hydrogen's decoupled map, swap and token
+#: guard (global and per-channel faucets), and SetPartition's per-set
+#: geometry rows.
+DESIGNS = ("baseline", "hashcache", "profess", "waypart", "hydrogen-dp",
+           "hydrogen-dp-token", "hydrogen", "setpart",
+           "hydrogen-per-channel-tokens")
 
 
-def run_engines(design, mix_name="C1", seed=7, sim_kw=None, **mix_kw):
-    """(reference, fast) results of one cell, same inputs."""
+def run_engines(design, mix_name="C1", seed=7, sim_kw=None,
+                native_geometry=True, policy=None, **mix_kw):
+    """(reference, fast) results of one cell, same inputs.
+
+    ``policy`` is a factory that replaces the design's registry policy
+    (the design name then only picks the geometry).
+    """
     mix = build_mix(mix_name, seed=seed, **{**TINY, **mix_kw})
-    cfg = design_config(design, default_system())
+    cfg = design_config(design, default_system(), native_geometry)
+    make = policy or (lambda: make_policy(design))
     kw = sim_kw or {}
-    ref = Simulation(cfg, make_policy(design), mix, **kw).run()
-    fast = FastSimulation(cfg, make_policy(design), mix, **kw).run()
+    ref = Simulation(cfg, make(), mix, **kw).run()
+    fast = FastSimulation(cfg, make(), mix, **kw).run()
     return ref, fast
 
 
 @pytest.mark.parametrize("design", DESIGNS)
 def test_bit_exact_per_design(design):
     ref, fast = run_engines(design)
+    assert fast == ref
+
+
+def test_bit_exact_hashcache_on_system_geometry():
+    """Chaining off: the flat-tag-latency probe kernel and the home-set
+    LRU insert of the chain kernel."""
+    ref, fast = run_engines("hashcache", native_geometry=False)
     assert fast == ref
 
 
@@ -83,8 +103,8 @@ def test_bit_exact_across_seeds(seed):
 
 
 class ChattyHAShCache(HAShCachePolicy):
-    """Subclass overriding hooks so every inline mode must fall back to
-    its delegate path (the identity checks in FastHybridController)."""
+    """Subclass overriding hooks so every HAShCache kernel resolves to
+    "delegate" and the fast engine must call the policy."""
 
     name = "chatty-hashcache"
 
@@ -106,6 +126,43 @@ def test_bit_exact_custom_policy_delegate_paths():
     cfg = design_config("hashcache", default_system())
     ref = Simulation(cfg, ChattyHAShCache(), mix).run()
     fast = FastSimulation(cfg, ChattyHAShCache(), mix).run()
+    assert fast == ref
+
+
+# A kernel mirrors every hook that declares it, so overriding any one
+# of them must send its companions to the delegate path as well.
+
+class LadderProfess(ProfessPolicy):
+    def p_of(self, klass):
+        return super().p_of(klass)
+
+
+class ChainHAShCache(HAShCachePolicy):
+    def _chain_set(self, block):
+        return super()._chain_set(block)
+
+
+class OwnerWayPart(WayPartPolicy):
+    def way_owner(self, set_id, way):
+        return super().way_owner(set_id, way)
+
+
+class GuardHydrogen(HydrogenPolicy):
+    def allow_migration(self, klass, block, cost, is_write):
+        return super().allow_migration(klass, block, cost, is_write)
+
+
+@pytest.mark.parametrize("design,policy,hooks", [
+    ("profess", LadderProfess, ("allow_migration",)),
+    ("hashcache", ChainHAShCache, ("alternate_set", "pick_insertion")),
+    ("waypart", OwnerWayPart, ("way_channel", "eligible_ways")),
+    ("hydrogen", GuardHydrogen.full, ("allow_migration",)),
+], ids=["profess-p_of", "hashcache-_chain_set", "waypart-way_owner",
+        "hydrogen-allow_migration"])
+def test_companion_override_delegates_bit_exact(design, policy, hooks):
+    for hook in hooks:
+        assert type(policy()).kernel(hook) == "delegate", hook
+    ref, fast = run_engines(design, policy=policy)
     assert fast == ref
 
 

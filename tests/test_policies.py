@@ -6,9 +6,9 @@ from repro.config import default_system
 from repro.engine.events import EventQueue
 from repro.engine.stats import Stats
 from repro.hybrid.controller import HybridMemoryController
-from repro.hybrid.policies.hashcache import HAShCachePolicy, MissFilter
+from repro.hybrid.policies.hashcache import HAShCachePolicy
 from repro.hybrid.policies.nopart import NoPartitionPolicy
-from repro.hybrid.policies.profess import P_LEVELS, ProfessPolicy
+from repro.hybrid.policies.profess import ProfessPolicy
 from repro.hybrid.policies.waypart import WayPartPolicy
 
 
@@ -122,15 +122,6 @@ def test_hashcache_chained_insertion_prefers_free_slot():
     assert iset == pol._chain_set(block)  # spilled to the chain slot
 
 
-def test_miss_filter():
-    f = MissFilter(capacity=2)
-    assert not f.second_miss(1)
-    assert f.second_miss(1)
-    f.second_miss(2)
-    f.second_miss(3)  # evicts 1
-    assert not f.second_miss(1)
-
-
 # -- ProFess -----------------------------------------------------------------------
 
 def test_profess_probability_levels():
@@ -138,7 +129,7 @@ def test_profess_probability_levels():
     attach(pol)
     assert pol.p_of("cpu") == 1.0
     pol.levels["cpu"] = 0
-    assert pol.p_of("cpu") == P_LEVELS[0]
+    assert pol.p_of("cpu") == pol.ladder[0]
 
 
 def test_profess_migration_is_probabilistic():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import socket
 import threading
 import types
 
@@ -316,6 +317,20 @@ def test_health_reports_queue_shape_and_no_journal(service):
     assert set(health.queued_by_class) == set(PRIORITIES)
     assert health.journal is None             # this fixture runs bare
     assert health.max_queued_cells is None
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_bad_content_length_is_a_400(service, length):
+    """A malformed or negative Content-Length is the client's error."""
+    request = (f"POST /v1/campaigns HTTP/1.1\r\nHost: test\r\n"
+               f"Content-Length: {length}\r\n\r\n").encode()
+    with socket.create_connection((service.host, service.port),
+                                  timeout=30) as sock:
+        sock.sendall(request)
+        with sock.makefile("rb") as stream:
+            reply = stream.read()
+    assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n"), reply[:60]
+    assert b"Content-Length" in reply.partition(b"\r\n\r\n")[2]
 
 
 def test_backpressure_returns_429_while_the_queue_is_full():
