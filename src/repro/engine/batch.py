@@ -62,11 +62,12 @@ _M64 = (1 << 64) - 1   # splitmix64 mask (inlined in the interpreter)
 # Tagged-event discriminators, stored where the reference stores the
 # event callback; payload sits in the args slot.  Dispatched by the
 # fused interpreter, cheapest (most frequent) first.
-TAG_DONE = 1      # payload (agent, seq): an agent's demand access completed
+TAG_DONE = 1      # payload (agent, t_issue): an agent's demand access
+#                   completed; t_issue is the access's issue time
 TAG_RELEASE = 2   # payload channel: bus release with a non-empty queue
 TAG_WAKE = 3      # payload agent: issue-window wakeup
 TAG_LOOKUP = 4    # payload (klass, addr, block, set_id, is_write,
-#                   agent, seq): remap-fill continuation
+#                   agent, t_issue): remap-fill continuation
 
 
 class _BatchChannel(FastChannel):
@@ -268,7 +269,7 @@ def _advance_cell(cell: "FastSimulation") -> bool:
     geo_fill = ctrl._geo_fill
 
     def lookup(klass: str, addr: int, block: int, set_id: int,
-               is_write: bool, agent: _BatchAgent, aseq: int,
+               is_write: bool, agent: _BatchAgent, t_issue: float,
                extra: float) -> None:
         # Entry layout (setassoc): [TAG, DIRTY, KLASS, STAMP, HITS, GEN]
         #                            0     1      2      3     4    5
@@ -346,20 +347,20 @@ def _advance_cell(cell: "FastSimulation") -> bool:
                 tf = ch._t_free
                 if now > tf or (now == tf and eq.cur_seq > ch._s_rel):
                     ch._start2(klass, 64, is_write, addr, TAG_DONE, extra,
-                               now, (agent, aseq))
+                               now, (agent, t_issue))
                 else:
                     (qc if klass == "cpu" else qg).append(
                         (klass, 64, is_write, addr, TAG_DONE, extra, now,
-                         (agent, aseq)))
+                         (agent, t_issue)))
                     if not ch._rel_pushed:
                         heappush(heap, (tf, ch._s_rel, TAG_RELEASE, ch))
                         ch._rel_pushed = True
             elif klass == "cpu":
                 qc.append((klass, 64, is_write, addr, TAG_DONE, extra,
-                           eq.now, (agent, aseq)))
+                           eq.now, (agent, t_issue)))
             else:
                 qg.append((klass, 64, is_write, addr, TAG_DONE, extra,
-                           eq.now, (agent, aseq)))
+                           eq.now, (agent, t_issue)))
             if misplaced:
                 ctrl._lazy_invalidations += 1
                 if is_write:
@@ -475,20 +476,20 @@ def _advance_cell(cell: "FastSimulation") -> bool:
             tf = slow._t_free
             if now > tf or (now == tf and eq.cur_seq > slow._s_rel):
                 slow._start2(klass, 64, dw, addr, TAG_DONE, extra, now,
-                             (agent, aseq))
+                             (agent, t_issue))
             else:
                 (qc if klass == "cpu" else qg).append(
                     (klass, 64, dw, addr, TAG_DONE, extra, now,
-                     (agent, aseq)))
+                     (agent, t_issue)))
                 if not slow._rel_pushed:
                     heappush(heap, (tf, slow._s_rel, TAG_RELEASE, slow))
                     slow._rel_pushed = True
         elif klass == "cpu":
             qc.append((klass, 64, dw, addr, TAG_DONE, extra, eq.now,
-                       (agent, aseq)))
+                       (agent, t_issue)))
         else:
             qg.append((klass, 64, dw, addr, TAG_DONE, extra, eq.now,
-                       (agent, aseq)))
+                       (agent, t_issue)))
 
         if not migrate:
             cnt["bypasses"] += 1
@@ -538,8 +539,6 @@ def _advance_cell(cell: "FastSimulation") -> bool:
         klass = agent.klass
         scale = agent.instr_scale
         n = agent._n
-        arr = agent._issue_arr
-        ilen = agent._ilen
         idx = agent.idx
         stream_t = agent.stream_t
         retired = agent.retired
@@ -557,11 +556,9 @@ def _advance_cell(cell: "FastSimulation") -> bool:
                     eq._seq = s + 1
                 break
             stream_t = now
-            aseq = idx
             idx += 1
             inflight += 1
             retired += (gap + 1.0) * scale
-            arr[aseq % ilen] = now
             # inline access: remap-cache probe
             cnt["accesses"] += 1
             set_id = sets[i]
@@ -569,7 +566,7 @@ def _advance_cell(cell: "FastSimulation") -> bool:
                 lru.move_to_end(set_id)
                 rc.hits += 1
                 lookup(klass, addrs[i], blocks[i], set_id, writes[i],
-                       agent, aseq, base_extra)
+                       agent, now, base_extra)
             else:
                 rc.misses += 1
                 lru[set_id] = None
@@ -588,13 +585,13 @@ def _advance_cell(cell: "FastSimulation") -> bool:
                         ch._start2(klass, remap_bytes, False, set_id * 64,
                                    TAG_LOOKUP, 0.0, fnow,
                                    (klass, addrs[i], blocks[i], set_id,
-                                    writes[i], agent, aseq))
+                                    writes[i], agent, now))
                     else:
                         (fqc if klass == "cpu" else fqg).append(
                             (klass, remap_bytes, False, set_id * 64,
                              TAG_LOOKUP, 0.0, fnow,
                              (klass, addrs[i], blocks[i], set_id,
-                              writes[i], agent, aseq)))
+                              writes[i], agent, now)))
                         if not ch._rel_pushed:
                             heappush(heap, (tf, ch._s_rel, TAG_RELEASE, ch))
                             ch._rel_pushed = True
@@ -603,7 +600,7 @@ def _advance_cell(cell: "FastSimulation") -> bool:
                         (klass, remap_bytes, False, set_id * 64,
                          TAG_LOOKUP, 0.0, eq.now,
                          (klass, addrs[i], blocks[i], set_id, writes[i],
-                          agent, aseq)))
+                          agent, now)))
             if inflight >= mlp:
                 break
         agent.idx = idx
@@ -624,12 +621,11 @@ def _advance_cell(cell: "FastSimulation") -> bool:
         eq.cur_seq = seq
         if tag.__class__ is _int:
             if tag == 1:                        # TAG_DONE
-                agent, aseq = payload
+                agent, t_issue = payload
                 inflight = agent.inflight - 1
                 rd = agent.refs_done + 1
                 agent.refs_done = rd
-                agent.latency_sum += time - agent._issue_arr[aseq
-                                                             % agent._ilen]
+                agent.latency_sum += time - t_issue
                 if rd == agent.warmup_refs:
                     agent.warm_time = time
                 if agent.done_time is None and rd >= agent.measure_target:
@@ -657,7 +653,6 @@ def _advance_cell(cell: "FastSimulation") -> bool:
                         agent.idx = idx + 1
                         agent.inflight = inflight + 1
                         agent.retired += (gap + 1.0) * agent.instr_scale
-                        agent._issue_arr[idx % agent._ilen] = time
                         klass = agent.klass
                         cnt = cnt_cpu if klass == "cpu" else cnt_gpu
                         cnt["accesses"] += 1
@@ -666,7 +661,7 @@ def _advance_cell(cell: "FastSimulation") -> bool:
                             lru.move_to_end(set_id)
                             rc.hits += 1
                             lookup(klass, agent._addrs[i], agent._blocks[i],
-                                   set_id, agent._writes[i], agent, idx,
+                                   set_id, agent._writes[i], agent, time,
                                    base_extra)
                         else:
                             rc.misses += 1
@@ -680,7 +675,7 @@ def _advance_cell(cell: "FastSimulation") -> bool:
                             fqg = ch._qg
                             fill = (klass, agent._addrs[i],
                                     agent._blocks[i], set_id,
-                                    agent._writes[i], agent, idx)
+                                    agent._writes[i], agent, time)
                             if not (fqc or fqg):
                                 tf = ch._t_free
                                 if time > tf or (time == tf
@@ -784,8 +779,9 @@ def _advance_cell(cell: "FastSimulation") -> bool:
                 payload._wake_pending = False
                 pump(payload)
             else:                               # TAG_LOOKUP
-                klass, addr, block, set_id, is_write, agent, aseq = payload
-                lookup(klass, addr, block, set_id, is_write, agent, aseq,
+                klass, addr, block, set_id, is_write, agent, t_issue = \
+                    payload
+                lookup(klass, addr, block, set_id, is_write, agent, t_issue,
                        llc_lat)
         else:
             # Policy-visible boundary (epoch/faucet/phase tick or any

@@ -42,6 +42,14 @@ class EventQueue:
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
         self._seq += 1
 
+    def clear(self) -> None:
+        """Drop every pending event.
+
+        Empties the heap list in place: the fast engine's channels hold
+        that same list, so rebinding it would leave the events pinned.
+        """
+        self._heap.clear()
+
     def step(self) -> bool:
         """Run the earliest event.  Returns False when the queue is empty."""
         if not self._heap:

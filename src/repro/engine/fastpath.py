@@ -189,6 +189,11 @@ class FastChannel:
         self._queue_wait = 0.0
         self._cb_cpu = self._cb_gpu = 0
 
+    def drop_queued(self) -> None:
+        """Discard queued requests (their payloads reference agents)."""
+        self._qc.clear()
+        self._qg.clear()
+
     def reset_banks(self) -> None:
         for i in range(len(self._rows)):
             self._rows[i] = None
@@ -205,14 +210,13 @@ class FastAgent(TraceAgent):
 
     Block/set decomposition comes from the memoized
     :meth:`~repro.traces.base.Trace.columns` SoA (one vectorized decode
-    per trace object x geometry).  Issue timestamps live in a flat ring
-    (the outstanding window is at most ``mlp`` wide, so ``seq % len``
-    slots never collide); the issue and response loop that reads them
-    is the fused interpreter's, with blocking-model arithmetic
-    identical to :class:`TraceAgent`.
+    per trace object x geometry).  The issue and response loop is the
+    fused interpreter's, with blocking-model arithmetic identical to
+    :class:`TraceAgent`; each access carries its issue time in its
+    completion payload, so the agent keeps no per-access state.
     """
 
-    __slots__ = ("ctrl", "_blocks", "_sets", "_issue_arr", "_ilen")
+    __slots__ = ("ctrl", "_blocks", "_sets")
 
     def __init__(self, name: str, trace: Trace, mlp: int, eq: EventQueue,
                  ctrl: "FastHybridController", warmup_frac: float = 0.0,
@@ -223,8 +227,6 @@ class FastAgent(TraceAgent):
         cols = trace.columns(ctrl._block, ctrl._nsets)
         self._blocks = cols.block_list
         self._sets = cols.set_list
-        self._ilen = max(self._n, mlp)
-        self._issue_arr = [0.0] * self._ilen
 
     def _trace_lists(self, trace: Trace) -> tuple[list, list, list]:
         cols = trace.columns(self.ctrl._block, self.ctrl._nsets)

@@ -269,14 +269,42 @@ class Simulation:
     # -- run ------------------------------------------------------------------------
 
     def run(self) -> SimResult:
+        """Run to completion (one-shot) and reduce the run to a result.
+
+        Whether it returns or raises, :meth:`_release` then cuts the run's
+        reference cycles, so the finished simulation is freed by reference
+        counting rather than by a later cyclic-GC pass.
+        """
         ep = self.cfg.epochs
+        try:
+            for agent in self.agents:
+                agent.start()
+            self.eq.after(ep.epoch_cycles, self._epoch_tick)
+            self.eq.after(ep.faucet_cycles, self._faucet_tick)
+            self.eq.after(ep.phase_cycles, self._phase_tick)
+            self._drain()
+            return self._result()
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Cut the links that make a finished run one cyclic object graph.
+
+        Pending events and queued requests hold ticks, channels and
+        agents (which hold the queue); done callbacks point agents back
+        here; the policy points back at its controller; the telemetry
+        clock would let a sink the caller keeps pin the whole run.  The
+        result, the agents' progress fields and the channel and
+        controller counters stay readable.
+        """
+        end = self.eq.now
+        self.telemetry.bind(lambda: end)
+        self.eq.clear()
+        for ch in (*self.ctrl.fast.channels, *self.ctrl.slow.channels):
+            ch.drop_queued()
         for agent in self.agents:
-            agent.start()
-        self.eq.after(ep.epoch_cycles, self._epoch_tick)
-        self.eq.after(ep.faucet_cycles, self._faucet_tick)
-        self.eq.after(ep.phase_cycles, self._phase_tick)
-        self._drain()
-        return self._result()
+            agent.on_done = None
+        self.policy.detach()
 
     def _drain(self) -> None:
         """Run events until every agent is measured or ``max_cycles``."""

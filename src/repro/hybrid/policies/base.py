@@ -66,6 +66,12 @@ class PartitionPolicy:
         self.ctrl = ctrl
         self.telemetry = getattr(ctrl, "telemetry", NULL_SINK)
 
+    def detach(self) -> None:
+        """Drop the controller link at the end of a run, so a policy the
+        caller keeps (or one in a cycle of its own) holds no engine state;
+        the controller keeps its ``policy``."""
+        self.ctrl = None
+
     @classmethod
     def kernel(cls, hook: str) -> str:
         """The kernel :func:`inlined` declared on the implementation of

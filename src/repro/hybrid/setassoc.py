@@ -123,10 +123,13 @@ class FastStore:
         return sum(len(d) for d in self._index)
 
     def occupancy_by_class(self) -> dict[str, int]:
+        # A plain scan, not valid_ways(): callers run it every epoch.
         out = {"cpu": 0, "gpu": 0}
-        for s in range(self.num_sets):
-            for _, e in self.valid_ways(s):
-                out[e[KLASS]] = out.get(e[KLASS], 0) + 1
+        for ways in self._ways:
+            for e in ways:
+                if e is not None:
+                    k = e[KLASS]
+                    out[k] = out.get(k, 0) + 1
         return out
 
     def check_consistency(self) -> None:

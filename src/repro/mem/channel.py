@@ -98,6 +98,12 @@ class Channel:
         self._queue_wait = 0.0
         self._class_bytes = {"cpu": 0, "gpu": 0}
 
+    def drop_queued(self) -> None:
+        """Discard queued requests (their callbacks reference agents);
+        counters stay readable."""
+        for q in self._queues.values():
+            q.clear()
+
     def reset_banks(self) -> None:
         """Precharge all banks (used by tests)."""
         for i in range(len(self._rows)):

@@ -54,7 +54,8 @@ class Telemetry:
     they guard any non-trivial sample computation on :attr:`enabled`.
     The simulation binds its clock with :meth:`bind` so events emitted
     by components that do not know the time (e.g. the hill climber) are
-    still stamped.
+    still stamped; when the run ends it rebinds a clock frozen at the
+    final time, so a sink never keeps a finished simulation alive.
     """
 
     #: Whether emission sites should compute and send records at all.

@@ -73,20 +73,25 @@ def start_server(journal: Path, *, fault_spec: str | None = None,
     line = proc.stdout.readline()             # blocks until the banner
     m = _LISTEN_RE.search(line)
     if not m:
-        tail = line + (proc.stdout.read() or "")
-        proc.kill()
-        raise AssertionError(f"server failed to start: {tail!r}")
+        _code, tail = finish(proc)
+        raise AssertionError(f"server failed to start: {line + tail!r}")
     return proc, int(m.group(1))
 
 
 def finish(proc, timeout: float = 60.0) -> tuple[int, str]:
-    """Collect a server subprocess: (exit code, remaining output)."""
+    """Collect a server subprocess: (exit code, remaining output).
+
+    Always closes the output pipe and reaps the process, so no path
+    leaves an unclosed file or a running child behind.
+    """
     try:
         out = proc.stdout.read() or ""
         code = proc.wait(timeout=timeout)
     finally:
+        proc.stdout.close()
         if proc.poll() is None:
             proc.kill()
+            proc.wait()
     return code, out
 
 
@@ -179,7 +184,7 @@ def test_client_run_rides_through_the_crash_window(tmp_path):
         final = client.last_status
     finally:
         for p in (proc, restarted):
-            if p is not None and p.poll() is None:
+            if p is not None and not p.stdout.closed:
                 p.terminate()
                 finish(p)
     assert final is not None and final.state == "done"

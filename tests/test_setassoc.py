@@ -1,5 +1,7 @@
 """Tests for the fast-tier set-associative store."""
 
+import random
+
 import pytest
 
 from repro.hybrid.setassoc import DIRTY, GEN, HITS, KLASS, STAMP, TAG, FastStore
@@ -82,6 +84,25 @@ def test_occupancy_by_class(store):
     occ = store.occupancy_by_class()
     assert occ == {"cpu": 1, "gpu": 2}
     assert store.occupancy() == 3
+
+    # A randomly filled store against a brute-force count, keys in the
+    # order they are first met (cpu and gpu always lead).
+    rng = random.Random(5)
+    big = FastStore(num_sets=256, assoc=4)
+    for s in range(big.num_sets):
+        for w in range(big.assoc):
+            if rng.random() < 0.7:
+                klass = rng.choice(("cpu", "gpu", "gpu", "dma"))
+                big.insert(s, w, s * 8 + w, klass, False, 0.0, 0)
+    expected = {"cpu": 0, "gpu": 0}
+    for s in range(big.num_sets):
+        for w in range(big.assoc):
+            e = big.entry(s, w)
+            if e is not None:
+                expected[e[KLASS]] = expected.get(e[KLASS], 0) + 1
+    occ = big.occupancy_by_class()
+    assert list(occ.items()) == list(expected.items())
+    assert sum(occ.values()) == big.occupancy()
 
 
 def test_valid_ways_iteration(store):
