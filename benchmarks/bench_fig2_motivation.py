@@ -36,9 +36,9 @@ def test_fig2a_slowdowns(benchmark, sweep_runner):
     assert spread > 1.1  # different mixes need different partitioning
 
 
-def test_fig2bcd_sensitivity(benchmark):
+def test_fig2bcd_sensitivity(benchmark, sweep_runner):
     out = run_once(benchmark, fig2_sensitivity, "C1", scale=BENCH_SCALE,
-                   seed=SEED)
+                   seed=SEED, runner=sweep_runner)
 
     print("\nFig. 2(b): fast-memory bandwidth sensitivity (C1):")
     print(format_table(["fast channels", "CPU perf", "GPU perf"],

@@ -7,8 +7,9 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import geomean
 
 
-def test_fig6_energy(benchmark):
-    rows = run_once(benchmark, fig6_energy, scale=BENCH_SCALE, seed=SEED)
+def test_fig6_energy(benchmark, sweep_runner):
+    rows = run_once(benchmark, fig6_energy, scale=BENCH_SCALE, seed=SEED,
+                    runner=sweep_runner)
 
     print("\nFig. 6: memory energy normalized to HAShCache:")
     print(format_table(

@@ -341,13 +341,14 @@ FIG_DRIVERS = {
     "fig2a": lambda a, r: figures.fig2_slowdowns(scale=a.scale, seed=a.seed,
                                                  runner=r),
     "fig2bcd": lambda a, r: figures.fig2_sensitivity(scale=a.scale,
-                                                     seed=a.seed),
+                                                     seed=a.seed, runner=r),
     "fig5": lambda a, r: figures.fig5_summary(
         figures.fig5_overall(scale=a.scale, seed=a.seed, runner=r)),
     "fig5-hbm3": lambda a, r: figures.fig5_summary(
         figures.fig5_overall(fast="hbm3", scale=a.scale, seed=a.seed,
                              runner=r)),
-    "fig6": lambda a, r: figures.fig6_energy(scale=a.scale, seed=a.seed),
+    "fig6": lambda a, r: figures.fig6_energy(scale=a.scale, seed=a.seed,
+                                             runner=r),
     "fig7": lambda a, r: figures.fig7_overheads(scale=a.scale, seed=a.seed),
     "fig8": lambda a, r: figures.fig8_search(scale=a.scale, seed=a.seed),
     "fig9": lambda a, r: figures.fig9_epochs(scale=a.scale, seed=a.seed,
@@ -729,7 +730,9 @@ def make_parser() -> argparse.ArgumentParser:
     common(sp, mix=False)
     sp.add_argument("name", help="table2, fig2a, fig2bcd, fig5, fig5-hbm3, "
                                  "fig6, fig7, fig8, fig9, fig10, fig11, "
-                                 "kvcache")
+                                 "kvcache (--jobs and the cache flags "
+                                 "apply to all but table2, fig7 and fig8, "
+                                 "which still run in-process)")
     sweep_opts(sp)
     sp.set_defaults(fn=cmd_fig)
 
@@ -789,7 +792,10 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--retries", type=int, default=None, metavar="N",
                     help="re-run a failed cell up to N extra times")
     sp.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                    help="per-cell wall-clock budget in seconds")
+                    help="per-cell wall-clock budget in seconds; binds "
+                         "only cells run in the worker pool (--jobs > 1, "
+                         "batches of 2+ cells), others run unbounded "
+                         "(docs/service.md)")
     sp.add_argument("--batch-cells", type=int, default=32, metavar="N",
                     help="max cells drained from the fair queue into one "
                          "engine batch (default 32)")

@@ -99,9 +99,14 @@ class HydrogenPolicy(PartitionPolicy):
         channels = ctrl.cfg.fast.channels
         # Capacity granularity: whole ways normally; at low associativity
         # fall back to the decoupled set-partitioning analog (Section IV-F)
-        # with channel-count granularity.
-        cap_units = assoc if assoc >= channels else channels
+        # with channel-count granularity; never fewer than two units, so
+        # each class can hold one.
+        cap_units = max(assoc, channels, 2)
         cap = min(round(self._init_cap * cap_units / 4), cap_units)
+        if 0 < self._init_cap < 4:
+            # A split share stays split on a small fast tier: rounding
+            # must not hand one class every capacity unit.
+            cap = min(max(cap, 1), cap_units - 1)
         bw = min(self._init_bw, channels - 1)
         # Keep the CPU capacity share >= its dedicated bandwidth share.
         cap = max(cap, _min_cap(bw, cap_units, channels))

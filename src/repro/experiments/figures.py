@@ -23,10 +23,10 @@ from repro.engine.simulator import simulate
 from repro.experiments.designs import FIG5_DESIGNS, KVCACHE_DESIGNS
 from repro.experiments.runner import (ComboResult, geomean, run_design,
                                       weighted_speedup)
-from repro.experiments.sweep import (MixSpec, SweepEngine, corun_grid,
-                                     sweep_grid)
+from repro.experiments.sweep import (MixSpec, SweepEngine, SweepJob,
+                                     corun_grid, sweep_grid)
 from repro.traces.base import characterize
-from repro.traces.mixes import ALL_MIXES, build_mix, cpu_only, gpu_only
+from repro.traces.mixes import ALL_MIXES, build_mix
 
 #: Representative subset used by the geomean-style figures when a full
 #: 12-combination sweep would be disproportionate (documented in
@@ -68,49 +68,48 @@ def fig2_slowdowns(mixes=ALL_MIXES, *, scale: float = 1.0,
 
 
 def fig2_sensitivity(mix_name: str = "C1", *, scale: float = 1.0,
-                     seed: int = 7) -> dict[str, list[dict]]:
+                     seed: int = 7, runner: SweepEngine | None = None
+                     ) -> dict[str, list[dict]]:
     """Fig. 2(b-d): C1 performance vs fast BW, fast capacity, slow BW.
 
     Following the paper, CPU and GPU sensitivities are measured in the
     shared (co-run) system; each point is normalized to the full-resource
-    configuration.
+    configuration.  All points go through one ``runner`` batch, so the
+    ones that repeat the full-resource configuration are simulated once.
     """
     base = default_system()
-    mix = build_mix(mix_name, scale=scale, seed=seed)
+    spec = MixSpec(mix_name, scale=scale, seed=seed)
+    points = {
+        "fast_bw": [("fast_channels", ch,
+                     base.with_fast(replace(base.fast, channels=ch)))
+                    for ch in (4, 2, 1)],
+        "fast_cap": [("capacity_frac", frac, base.with_fast(replace(
+                         base.fast, capacity=int(base.fast.capacity * frac))))
+                     for frac in (1.0, 0.5, 0.25, 0.125)],
+        "slow_bw": [("slow_channels", ch,
+                     replace(base, slow=replace(base.slow, channels=ch)))
+                    for ch in (4, 2, 1)],
+    }
 
-    def run(cfg):
-        return run_design("baseline", mix, cfg)
+    def job(cfg):
+        return SweepJob(spec, "baseline", cfg)
 
-    ref = run(base)
-    out: dict[str, list[dict]] = {"fast_bw": [], "fast_cap": [], "slow_bw": []}
-
-    for ch in (4, 2, 1):
-        cfg = base.with_fast(replace(base.fast, channels=ch))
-        r = run(cfg)
-        out["fast_bw"].append({
-            "fast_channels": ch,
-            "perf_cpu": ref.cycles_cpu / r.cycles_cpu,
-            "perf_gpu": ref.cycles_gpu / r.cycles_gpu,
-        })
-    for frac in (1.0, 0.5, 0.25, 0.125):
-        cfg = base.with_fast(replace(base.fast,
-                                     capacity=int(base.fast.capacity * frac)))
-        r = run(cfg)
-        out["fast_cap"].append({
-            "capacity_frac": frac,
-            "perf_cpu": ref.cycles_cpu / r.cycles_cpu,
-            "perf_gpu": ref.cycles_gpu / r.cycles_gpu,
-            "hit_cpu": r.hit_rate("cpu"),
-            "hit_gpu": r.hit_rate("gpu"),
-        })
-    for ch in (4, 2, 1):
-        cfg = replace(base, slow=replace(base.slow, channels=ch))
-        r = run(cfg)
-        out["slow_bw"].append({
-            "slow_channels": ch,
-            "perf_cpu": ref.cycles_cpu / r.cycles_cpu,
-            "perf_gpu": ref.cycles_gpu / r.cycles_gpu,
-        })
+    results = (runner or SweepEngine()).run(
+        [job(base)] + [job(cfg) for pts in points.values()
+                       for _, _, cfg in pts])
+    ref = results[job(base)]
+    out: dict[str, list[dict]] = {}
+    for series, pts in points.items():
+        out[series] = []
+        for key, value, cfg in pts:
+            r = results[job(cfg)]
+            row = {key: value,
+                   "perf_cpu": ref.cycles_cpu / r.cycles_cpu,
+                   "perf_gpu": ref.cycles_gpu / r.cycles_gpu}
+            if series == "fast_cap":
+                row.update(hit_cpu=r.hit_rate("cpu"),
+                           hit_gpu=r.hit_rate("gpu"))
+            out[series].append(row)
     return out
 
 
@@ -144,18 +143,22 @@ def fig5_summary(results: dict[str, dict[str, ComboResult]]) -> list[dict]:
     return rows
 
 
-def fig6_energy(mixes=ALL_MIXES, *, scale: float = 1.0,
-                seed: int = 7) -> list[dict]:
+def fig6_energy(mixes=ALL_MIXES, *, scale: float = 1.0, seed: int = 7,
+                runner: SweepEngine | None = None) -> list[dict]:
     """Fig. 6: memory energy of HAShCache / ProFess / Hydrogen, normalized
-    to HAShCache per the paper."""
+    to HAShCache per the paper.  The whole grid is one ``runner`` batch."""
     cfg = default_system()
+    designs = ("hashcache", "profess", "hydrogen")
+
+    def job(name, design):
+        return SweepJob(MixSpec(name, scale=scale, seed=seed), design, cfg)
+
+    results = (runner or SweepEngine()).run(
+        [job(n, d) for n in mixes for d in designs])
     rows = []
     for name in mixes:
-        mix = build_mix(name, scale=scale, seed=seed)
-        energies = {}
-        for design in ("hashcache", "profess", "hydrogen"):
-            r = run_design(design, mix, cfg)
-            energies[design] = r.energy.total_nj
+        energies = {d: results[job(name, d)].energy.total_nj
+                    for d in designs}
         ref = energies["hashcache"]
         rows.append({"mix": name,
                      **{d: e / ref for d, e in energies.items()}})
@@ -267,16 +270,23 @@ def fig10_weights_cores(mix_name: str = "C6", *, scale: float = 1.0,
                         runner: SweepEngine | None = None
                         ) -> dict[str, list[dict]]:
     """Fig. 10: (a) CPU:GPU IPC weight sweep on C6 (slowdowns vs solo);
-    (b) CPU core-count scaling (weighted speedup vs baseline)."""
+    (b) CPU core-count scaling (weighted speedup vs baseline).  Column (a)
+    — the weight points and both solo baselines — is one ``runner``
+    batch, and each core count of (b) is another."""
     out: dict[str, list[dict]] = {"weights": [], "cores": []}
     base_cfg = default_system()
-    mix = build_mix(mix_name, scale=scale, seed=seed)
-    solo_cpu = run_design("baseline", cpu_only(mix), base_cfg)
-    solo_gpu = run_design("baseline", gpu_only(mix), base_cfg)
+    runner = runner or SweepEngine()
+    spec = MixSpec(mix_name, scale=scale, seed=seed)
+    solo = [SweepJob(replace(spec, solo=k), "baseline", base_cfg)
+            for k in ("cpu", "gpu")]
+    weighted = {w: SweepJob(spec, "hydrogen", replace(
+        base_cfg, weight_cpu=float(w), weight_gpu=1.0))
+        for w in weight_ratios}
+    results = runner.run(solo + list(weighted.values()))
+    solo_cpu, solo_gpu = (results[j] for j in solo)
 
-    for w in weight_ratios:
-        cfg = replace(base_cfg, weight_cpu=float(w), weight_gpu=1.0)
-        res = simulate(cfg, HydrogenPolicy.full(), mix)
+    for w, job in weighted.items():
+        res = results[job]
         out["weights"].append({
             "weight_ratio": w,
             "slowdown_cpu": res.cycles_cpu / solo_cpu.cycles_cpu,

@@ -9,7 +9,7 @@ survive all of that without losing completed work:
   *seeded deterministic* jitter (no live randomness: the delay for a
   given ``(key, attempt)`` is a pure function of the policy).
 * :func:`time_limit` — per-job wall-clock enforcement via ``SIGALRM``
-  (main thread only; a transparent no-op elsewhere), raising
+  (main thread only; elsewhere it warns and runs unbounded), raising
   :class:`JobTimeout` so a hung job becomes an ordinary, retryable
   failure instead of wedging the whole sweep.
 * :class:`JobFailure` — the per-job post-mortem record (kind, error,
@@ -31,6 +31,7 @@ import hashlib
 import signal
 import threading
 import traceback
+import warnings
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -125,13 +126,22 @@ def time_limit(seconds: float | None, label: str = "job"):
 
     Raises :class:`JobTimeout` from a ``SIGALRM`` handler when the
     block overruns; restores the previous handler and timer either
-    way.  With ``seconds`` falsy — or off the main thread, or on a
-    platform without ``SIGALRM`` — the block runs unguarded, so
-    callers never need to special-case the serial in-process path.
-    Cannot interrupt a single long uninterruptible C call; it bounds
-    Python-level work (which is where simulations spend their time).
+    way.  With ``seconds`` falsy the block runs unguarded.  The timer
+    fires only on the main thread of a platform with ``SIGALRM``: that
+    covers every pool worker and the in-process jobs of a main-thread
+    sweep, but not the campaign server's in-process cells, which run on
+    an executor thread.  Handed a budget it cannot enforce, the block
+    runs unbounded and a ``RuntimeWarning`` says so (once per process
+    under the default warning filters).  Cannot interrupt a single long
+    uninterruptible C call; it bounds Python-level work (which is where
+    simulations spend their time).
     """
     if not seconds or not _alarm_capable():
+        if seconds:
+            warnings.warn(
+                "job_timeout needs SIGALRM on the main thread; jobs run "
+                "in-process off it (or without SIGALRM) have no "
+                "wall-clock budget", RuntimeWarning, stacklevel=3)
         yield
         return
 

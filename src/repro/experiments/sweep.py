@@ -32,10 +32,10 @@ Knobs
 ``run()`` additionally survives worker-pool deaths
 (:class:`concurrent.futures.BrokenExecutor`): completed results are
 kept, in-flight jobs are requeued into a respawned pool, and after
-``degrade_after`` consecutive pool deaths the engine falls back to
-serial in-process execution.  Completed jobs are always written to the
-cache as they finish, so an interrupted sweep resumes from the cache on
-rerun.
+:data:`DEGRADE_AFTER` (3) consecutive pool deaths the rest of the run
+executes in-process.  Completed jobs are always written to the cache as
+they finish, so an interrupted sweep resumes from the cache on rerun;
+Ctrl-C terminates the pool's workers.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
+from collections import deque
+from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 ProcessPoolExecutor, wait)
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -65,6 +66,10 @@ from repro.traces.mixes import (CPU_COPIES, WorkloadMix, build_mix, cpu_only,
 
 #: Environment default for the worker count (used when ``workers=None``).
 WORKERS_ENV = "REPRO_SWEEP_JOBS"
+
+#: Consecutive worker-pool deaths after which the rest of a run
+#: executes in-process on the calling thread.
+DEGRADE_AFTER = 3
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -257,16 +262,14 @@ class SweepEngine:
     (``None`` = no retries, an int = that many retries, or a full
     :class:`~repro.experiments.resilience.RetryPolicy`), ``job_timeout``
     (per-job wall-clock budget in seconds), ``failures`` (``"raise"``
-    fail-fast vs ``"collect"``), ``degrade_after`` (consecutive pool
-    deaths tolerated before falling back to serial), and ``telemetry``
-    (a :class:`~repro.telemetry.Telemetry` sink receiving the
-    ``sweep.*`` events of docs/telemetry.md).
+    fail-fast vs ``"collect"``), and ``telemetry`` (a
+    :class:`~repro.telemetry.Telemetry` sink receiving the ``sweep.*``
+    events of docs/telemetry.md).
     """
 
     def __init__(self, workers: int | None = None, cache=None,
                  progress=None, retry: "RetryPolicy | int | None" = None,
                  job_timeout: float | None = None, failures: str = "raise",
-                 degrade_after: int = 3,
                  telemetry: Telemetry | None = None,
                  on_result=None, on_failure=None) -> None:
         self.workers = resolve_workers(workers)
@@ -275,10 +278,6 @@ class SweepEngine:
         self.retry = resolve_retry(retry)
         self.job_timeout = job_timeout
         self.failures = resolve_failure_policy(failures)
-        if degrade_after < 1:
-            raise ValueError(
-                f"degrade_after must be >= 1, got {degrade_after}")
-        self.degrade_after = degrade_after
         self.telemetry = telemetry if telemetry is not None else NULL_SINK
         #: Optional per-job hand-off hook: ``on_result(job, result, dt)``
         #: fires for every job that resolves — simulated, recalled from
@@ -317,6 +316,7 @@ class SweepEngine:
         an aborted or interrupted sweep resumes from the cache on rerun.
         """
         t0 = time.perf_counter()
+        before = replace(self.stats)   # the run's counters are the deltas
         jobs = list(jobs)
         ordered = list(dict.fromkeys(jobs))
         self.stats.submitted += len(jobs)
@@ -325,7 +325,6 @@ class SweepEngine:
         results: dict[SweepJob, SimResult] = {}
         pending: list[SweepJob] = []
         keys: dict[SweepJob, str] = {}
-        run_hits = 0
         for job in ordered:
             if self.cache is not None:
                 key = self.cache.key(job.cache_payload())
@@ -335,7 +334,6 @@ class SweepEngine:
                     results[job] = hit
                     self.stats.cache_hits += 1
                     self.stats.completed += 1
-                    run_hits += 1
                     if self.on_result is not None:
                         self.on_result(job, hit, 0.0)
                     continue
@@ -348,11 +346,7 @@ class SweepEngine:
                   f"running {len(pending)} on "
                   f"{min(self.workers, max(1, len(pending)))} worker(s)")
 
-        done = 0
-
         def record(job: SweepJob, res: SimResult, dt: float) -> None:
-            nonlocal done
-            done += 1
             results[job] = res
             self.stats.simulated += 1
             self.stats.completed += 1
@@ -361,171 +355,144 @@ class SweepEngine:
                 self.cache.put(keys[job], res)
             if self.on_result is not None:
                 self.on_result(job, res, dt)
-            self._say(f"  [{done}/{len(pending)}] {job.label} ({dt:.2f}s)")
+            self._say(f"  [{self.stats.simulated - before.simulated}/"
+                      f"{len(pending)}] {job.label} ({dt:.2f}s)")
 
-        attempts = {job: 0 for job in pending}   # completed tries per job
         failures: dict[SweepJob, JobFailure] = {}
-        counters = {"retries": 0, "requeued": 0, "pool_restarts": 0,
-                    "degraded": 0}
+        degraded = self._drain(pending, failures, record)
 
-        if self.workers > 1 and len(pending) > 1:
-            self._run_pool(pending, attempts, failures, counters, record)
-        else:
-            self._run_serial(pending, attempts, failures, counters, record)
-
-        self.stats.wall_total += time.perf_counter() - t0
+        stats = self.stats
+        stats.wall_total += time.perf_counter() - t0
         report = SweepReport(
             {job: results[job] for job in ordered if job in results},
             failures=tuple(failures[job] for job in ordered
                            if job in failures),
-            retries=counters["retries"], requeued=counters["requeued"],
-            pool_restarts=counters["pool_restarts"],
-            degraded=bool(counters["degraded"]),
-            deduped=len(jobs) - len(ordered), cache_hits=run_hits)
+            retries=stats.retries - before.retries,
+            requeued=stats.requeued - before.requeued,
+            pool_restarts=stats.pool_restarts - before.pool_restarts,
+            degraded=degraded, deduped=len(jobs) - len(ordered),
+            cache_hits=stats.cache_hits - before.cache_hits)
         self.report = report
-        if not report.ok or counters["retries"] or counters["pool_restarts"]:
+        if not report.ok or report.retries or report.pool_restarts:
             self._say("sweep: " + report.summary())
         return report
 
-    # -- execution backends ------------------------------------------------
+    def _drain(self, pending, failures, record) -> bool:
+        """Run every pending job to an outcome; True if the run degraded.
 
-    def _run_serial(self, queue, attempts, failures, counters,
-                    record) -> None:
-        """In-process execution with the same retry/failure semantics."""
-        for job in queue:
-            while True:
-                try:
-                    res, dt = _execute_job(job, self.job_timeout,
-                                           attempts[job] + 1)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:
-                    attempts[job] += 1
-                    if self.retry.retryable(attempts[job]):
-                        self._note_retry(job, exc, attempts[job], counters)
-                        continue
-                    self._fail(job, exc, attempts[job], failures)
-                    break
-                attempts[job] += 1
-                record(job, res, dt)
-                break
-
-    def _run_pool(self, pending, attempts, failures, counters,
-                  record) -> None:
-        """Process-pool execution surviving worker and pool deaths.
-
-        Runs generations of pools: jobs still outstanding after a pool
-        death (``BrokenExecutor``) are requeued — with their attempt
-        counter bumped, so a deterministically injected crash clears —
-        into a fresh pool; after ``degrade_after`` consecutive deaths
-        the remainder runs serially in-process.
+        One loop over one queue.  With one worker or one pending job,
+        each job runs in-process on the calling thread; otherwise every
+        job goes to a process pool.  A pool death (``BrokenExecutor``)
+        records what finished, requeues the rest in submission order —
+        each with its attempt count bumped, so a deterministically
+        injected crash clears — into a fresh pool, and after
+        ``DEGRADE_AFTER`` consecutive deaths runs the rest in-process.
+        Ctrl-C records what finished, then terminates the workers.
         """
+        attempts = dict.fromkeys(pending, 0)   # completed tries per job
         outstanding = dict.fromkeys(pending)   # insertion-ordered set
-        pool_deaths = 0
-        while outstanding:
-            queue = [j for j in pending if j in outstanding]
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(queue)))
-            # Submission can itself find the pool broken (a worker
-            # crashing on an early job while later jobs are still being
-            # submitted): that is a pool death, not a sweep error.
-            inflight = {}
-            broken = False
-            try:
-                for j in queue:
-                    try:
-                        inflight[pool.submit(_execute_job, j,
-                                             self.job_timeout,
-                                             attempts[j] + 1)] = j
-                    except BrokenExecutor:
-                        broken = True
-                        break
-                while inflight and not broken:
-                    ready, _ = wait(list(inflight),
-                                    return_when=FIRST_COMPLETED)
-                    for fut in ready:
-                        job = inflight.pop(fut)
-                        try:
-                            res, dt = fut.result()
-                        except BrokenExecutor:
-                            broken = True
-                            continue
-                        except Exception as exc:
-                            attempts[job] += 1
-                            if self.retry.retryable(attempts[job]):
-                                self._note_retry(job, exc, attempts[job],
-                                                 counters)
-                                try:
-                                    inflight[pool.submit(
-                                        _execute_job, job, self.job_timeout,
-                                        attempts[job] + 1)] = job
-                                except BrokenExecutor:
-                                    # Pool died under the resubmission;
-                                    # the job stays outstanding and is
-                                    # requeued into the next pool.
-                                    broken = True
-                            else:
-                                del outstanding[job]
-                                self._fail(job, exc, attempts[job],
-                                           failures)
-                            continue
-                        attempts[job] += 1
-                        del outstanding[job]
-                        pool_deaths = 0
-                        record(job, res, dt)
-            except KeyboardInterrupt:
-                self._flush_on_interrupt(pool, inflight, attempts,
-                                         outstanding, record)
-                raise
-            except Exception:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            if not broken:
-                pool.shutdown(wait=True)
-                return
-            # Pool died.  Harvest results that finished before the death
-            # (nothing completed may be lost), then requeue the rest.
+        queue = deque(pending)
+        inflight: dict[Future, SweepJob] = {}
+        pooled = self.workers > 1 and len(pending) > 1
+        pool: ProcessPoolExecutor | None = None
+        deaths = 0
+        degraded = False
+
+        def finish(job: SweepJob, res: SimResult, dt: float) -> None:
+            nonlocal deaths
+            attempts[job] += 1
+            del outstanding[job]
+            deaths = 0
+            record(job, res, dt)
+
+        def harvest() -> None:
+            """Record the in-flight jobs that finished before the pool
+            went away; forget the rest (they stay outstanding)."""
             for fut in list(inflight):
-                job = inflight[fut]
+                job = inflight.pop(fut)
                 if fut.done() and not fut.cancelled() \
                         and fut.exception() is None:
-                    res, dt = fut.result()
+                    finish(job, *fut.result())
+
+        try:
+            while outstanding:
+                broken = False
+                # In-process, one job at a time, so each result is
+                # recorded (and its hooks fire) before the next job runs.
+                while queue and (pooled or not inflight):
+                    job = queue[0]
+                    if not pooled:
+                        fut = _run_inline(job, self.job_timeout,
+                                          attempts[job] + 1)
+                    else:
+                        if pool is None:
+                            pool = ProcessPoolExecutor(max_workers=min(
+                                self.workers, len(outstanding)))
+                        try:
+                            fut = pool.submit(_execute_job, job,
+                                              self.job_timeout,
+                                              attempts[job] + 1)
+                        except BrokenExecutor:
+                            broken = True
+                            break
+                    inflight[fut] = queue.popleft()
+                ready = () if broken else wait(
+                    inflight, return_when=FIRST_COMPLETED)[0]
+                for fut in ready:
+                    job = inflight.pop(fut)
+                    try:
+                        res, dt = fut.result()
+                    except BrokenExecutor:
+                        broken = True   # the job stays outstanding
+                        continue
+                    except Exception as exc:
+                        attempts[job] += 1
+                        if self.retry.retryable(attempts[job]):
+                            self._note_retry(job, exc, attempts[job])
+                            queue.appendleft(job)
+                        else:
+                            del outstanding[job]
+                            self._fail(job, exc, attempts[job], failures)
+                        continue
+                    finish(job, res, dt)
+                if not broken:
+                    continue
+                # The pool died: keep what finished, requeue the rest.
+                harvest()
+                _shut(pool, kill=True)
+                pool = None
+                deaths += 1
+                queue = deque(outstanding)
+                for job in queue:
                     attempts[job] += 1
-                    del outstanding[job]
-                    record(job, res, dt)
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool_deaths += 1
-            self.stats.pool_restarts += 1
-            counters["pool_restarts"] += 1
-            requeued = [j for j in pending if j in outstanding]
-            counters["requeued"] += len(requeued)
-            self.stats.requeued += len(requeued)
-            for j in requeued:
-                attempts[j] += 1   # clears a deterministic injected crash
-            self.telemetry.event("sweep.pool_restart", deaths=pool_deaths,
-                                 requeued=len(requeued))
-            self._say(f"sweep: worker pool died ({pool_deaths} "
-                      f"consecutive); requeueing {len(requeued)} job(s)")
-            if pool_deaths >= self.degrade_after and outstanding:
-                counters["degraded"] = 1
-                self.stats.degraded = True
-                remaining = [j for j in pending if j in outstanding]
-                self.telemetry.event("sweep.degraded",
-                                     pool_deaths=pool_deaths,
-                                     remaining=len(remaining))
-                self._say(f"sweep: degrading to serial execution for "
-                          f"{len(remaining)} remaining job(s)")
-                self._run_serial(remaining, attempts, failures, counters,
-                                 record)
-                return
+                self.stats.pool_restarts += 1
+                self.stats.requeued += len(queue)
+                self.telemetry.event("sweep.pool_restart", deaths=deaths,
+                                     requeued=len(queue))
+                self._say(f"sweep: worker pool died ({deaths} "
+                          f"consecutive); requeueing {len(queue)} job(s)")
+                if deaths >= DEGRADE_AFTER and queue:
+                    pooled = False
+                    degraded = self.stats.degraded = True
+                    self.telemetry.event("sweep.degraded",
+                                         pool_deaths=deaths,
+                                         remaining=len(queue))
+                    self._say(f"sweep: degrading to serial execution for "
+                              f"{len(queue)} remaining job(s)")
+        except KeyboardInterrupt:
+            for fut in inflight:
+                fut.cancel()
+            harvest()
+            raise
+        finally:
+            _shut(pool, kill=bool(outstanding))
+        return degraded
 
     # -- resilience bookkeeping --------------------------------------------
 
-    def _note_retry(self, job, exc: Exception, attempt: int,
-                    counters) -> None:
+    def _note_retry(self, job, exc: Exception, attempt: int) -> None:
         """Account for a retryable failure and apply its backoff delay."""
         delay = self.retry.delay(job.label, attempt)
-        counters["retries"] += 1
         self.stats.retries += 1
         self.telemetry.event("sweep.retry", label=job.label,
                              attempt=attempt, delay=delay,
@@ -552,33 +519,35 @@ class SweepEngine:
         if self.on_failure is not None:
             self.on_failure(job, failure)
 
-    def _flush_on_interrupt(self, pool, inflight, attempts, outstanding,
-                            record) -> None:
-        """Ctrl-C during a parallel sweep: keep finished work, then die.
 
-        Cancels not-yet-running futures, records (and therefore caches)
-        results that already finished but were not yet collected, and
-        tears the pool down without waiting so no worker process is
-        left orphaned; the caller re-raises the ``KeyboardInterrupt``.
-        """
-        for fut in list(inflight):
-            fut.cancel()
-        for fut in list(inflight):
-            job = inflight[fut]
-            if fut.done() and not fut.cancelled() \
-                    and fut.exception() is None:
-                res, dt = fut.result()
-                attempts[job] += 1
-                if job in outstanding:
-                    del outstanding[job]
-                record(job, res, dt)
-        pool.shutdown(wait=False, cancel_futures=True)
-        procs = getattr(pool, "_processes", None) or {}
-        for proc in list(procs.values()):
-            try:
-                proc.terminate()
-            except (OSError, AttributeError):
-                pass
+def _run_inline(job: SweepJob, timeout: float | None,
+                attempt: int) -> Future:
+    """:func:`_execute_job` on the calling thread, as a finished future.
+
+    Only ``Exception`` becomes the future's outcome: Ctrl-C and
+    ``SystemExit`` propagate out of the sweep as they arrive.
+    """
+    fut: Future = Future()
+    try:
+        fut.set_result(_execute_job(job, timeout, attempt))
+    except Exception as exc:
+        fut.set_exception(exc)
+    return fut
+
+
+def _shut(pool: ProcessPoolExecutor | None, *, kill: bool) -> None:
+    """Shut ``pool`` down; with ``kill``, cancel its queued jobs and
+    terminate its workers instead of letting in-flight jobs finish."""
+    if pool is None:
+        return
+    if not kill:
+        pool.shutdown(wait=True)
+        return
+    # shutdown() drops the executor's process table: take it first.
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        proc.terminate()
 
 
 def as_spec(mix, *, scale: float = 1.0, seed: int = 7):

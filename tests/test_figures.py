@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import figures as F
+from repro.experiments.sweep import SweepEngine
 
 TINY = 0.06  # ~900 CPU refs / 9k GPU refs per mix: shapes only, fast
 
@@ -45,6 +46,14 @@ def test_fig6_energy_driver():
     rows = F.fig6_energy(mixes=("C1",), scale=TINY)
     assert rows[0]["hashcache"] == pytest.approx(1.0)
     assert rows[0]["hydrogen"] > 0
+
+
+def test_fig6_energy_recalls_cached_cells(tmp_path):
+    first = F.fig6_energy(mixes=("C1",), scale=TINY,
+                          runner=SweepEngine(cache=tmp_path))
+    again = SweepEngine(cache=tmp_path)
+    assert F.fig6_energy(mixes=("C1",), scale=TINY, runner=again) == first
+    assert again.stats.simulated == 0 and again.stats.cache_hits == 3
 
 
 def test_fig7_overheads_driver():

@@ -6,19 +6,24 @@ tag-store consistency, response delivery, conservation of counters, and
 class confinement of insertions.
 """
 
-from hypothesis import given, settings
+from dataclasses import replace
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MB, default_system
 from repro.core.hydrogen import HydrogenPolicy
 from repro.engine.events import EventQueue
 from repro.engine.stats import Stats
+from repro.experiments.designs import ALL_DESIGNS
+from repro.experiments.runner import run_design
 from repro.hybrid.controller import HybridMemoryController
 from repro.hybrid.policies.hashcache import HAShCachePolicy
 from repro.hybrid.policies.nopart import NoPartitionPolicy
 from repro.hybrid.policies.profess import ProfessPolicy
 from repro.hybrid.policies.waypart import WayPartPolicy
 from repro.hybrid.setassoc import KLASS
+from repro.traces.mixes import build_mix
 
 POLICIES = {
     "baseline": NoPartitionPolicy,
@@ -130,3 +135,50 @@ def test_repeated_touch_is_always_hit_after_migration(lines):
     assert misses_after == ctrl.live_count("cpu", "accesses") - \
         ctrl.live_count("cpu", "fast_hits")
     assert ctrl.live_count("cpu", "fast_hits") > hits_before
+
+
+# -- random geometries, whole runs, both engines ----------------------------
+
+#: Tiny mix shared by every draw: geometry is what varies.
+GEOMETRY_MIX = build_mix("C1", cpu_refs=600, gpu_refs=3000, seed=3)
+
+
+def _geometry(fast_ch: int, slow_ch: int, assoc: int, block: int):
+    cfg = default_system().with_geometry(assoc=assoc, block=block)
+    return replace(cfg, fast=replace(cfg.fast, channels=fast_ch),
+                   slow=replace(cfg.slow, channels=slow_ch))
+
+
+@settings(max_examples=20, deadline=None)
+@given(fast_ch=st.sampled_from([1, 2, 3, 4, 8]),
+       slow_ch=st.sampled_from([1, 2, 4]),
+       assoc=st.sampled_from([1, 2, 4, 8, 16]),
+       block=st.sampled_from([64, 128, 256, 512]),
+       design=st.sampled_from(ALL_DESIGNS))
+# Pinned: fast tiers of two capacity units or fewer, where Hydrogen's
+# start must still land inside its tuner's QoS-floor domain.
+@example(fast_ch=2, slow_ch=4, assoc=2, block=256, design="hydrogen")
+@example(fast_ch=1, slow_ch=2, assoc=1, block=64, design="hydrogen")
+@example(fast_ch=2, slow_ch=1, assoc=1, block=512, design="hydrogen-dp")
+def test_random_geometry_runs_conserve_and_agree(fast_ch, slow_ch, assoc,
+                                                 block, design):
+    """Whole runs on a drawn geometry, stall watchdog armed (a stall
+    raises ``SimulationStalled``): the fast engine equals the reference,
+    every request is accounted for, and no token bank goes negative."""
+    cfg = _geometry(fast_ch, slow_ch, assoc, block)
+    ref = run_design(design, GEOMETRY_MIX, cfg, native_geometry=False,
+                     engine="reference")
+    assert run_design(design, GEOMETRY_MIX, cfg, native_geometry=False,
+                      engine="fast") == ref
+    for klass in ("cpu", "gpu"):
+        n = {key: ref.stats.get(f"{klass}.{key}", 0.0)
+             for key in ("accesses", "fast_hits", "fast_misses",
+                         "migrations", "bypasses", "remap_fills")}
+        # The run stops once every agent is measured: an access still
+        # waiting on its remap-table fill has no hit or miss yet.
+        unresolved = n["accesses"] - n["fast_hits"] - n["fast_misses"]
+        assert 0 <= unresolved <= n["remap_fills"]
+        assert n["fast_misses"] == n["migrations"] + n["bypasses"]
+        # Hydrogen's QoS floor: neither class is starved of the fast tier.
+        assert n["fast_hits"] > 0 or not design.startswith("hydrogen")
+    assert ref.policy_state.get("tokens_banked", 0.0) >= 0.0
