@@ -5,9 +5,9 @@ server's executor, a worker of the sweep pool — and each must still be
 bit-identical to a standalone run.  The one way to silently break that
 is state that outlives a cell: a module-level container one cell
 mutates and the next reads, or a class-level mutable attribute every
-instance aliases.  ISO01 statically bans those shapes in the
-engine-core modules (``engine/batch.py``, ``engine/fastpath.py``, and
-everything under ``hybrid/``):
+instance aliases.  ISO01 statically bans those shapes in every
+simulation-state module (under ``core/``, ``engine/``, ``hybrid/`` or
+``mem/`` — DET01's :data:`~repro.analysis.determinism.SIM_STATE_DIRS`):
 
 * module-level assignment of a mutable container (list/dict/set/...);
 * class-level mutable attribute in a class body (shared by instances);
@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
+from repro.analysis.determinism import SIM_STATE_DIRS
 from repro.analysis.framework import Finding, Module, Rule
 
 #: Constructor names whose result is a shared-mutable container.
@@ -54,30 +55,21 @@ def _mutable_value(node: ast.AST | None) -> bool:
     return False
 
 
-def _in_scope(module: Module) -> bool:
-    """Engine-core modules where cross-cell aliasing breaks equivalence."""
-    parts = module.parts()
-    if "hybrid" in parts:
-        return True
-    return ("engine" in parts
-            and parts[-1] in ("batch.py", "fastpath.py"))
-
-
 class StateIsolationRule(Rule):
-    """No shared mutable state (module- or class-level) in the engine
-    core: every container must hang off one simulation instance."""
+    """No shared mutable state (module- or class-level) in simulation
+    state: every container must hang off one simulation instance."""
 
     rule_id = "ISO01"
     name = "isolation"
     severity = "error"
-    description = ("engine-core modules (engine/batch.py, "
-                   "engine/fastpath.py, hybrid/) must not create or "
-                   "mutate module-level / class-level mutable containers "
-                   "— shared state leaks from one cell into the next "
-                   "when cells run back to back in one process")
+    description = ("simulation-state modules (core/, engine/, hybrid/, "
+                   "mem/) must not create or mutate module-level / "
+                   "class-level mutable containers — shared state leaks "
+                   "from one cell into the next when cells run back to "
+                   "back in one process")
 
     def check(self, module: Module) -> Iterable[Finding]:
-        if not _in_scope(module):
+        if not SIM_STATE_DIRS.intersection(module.parts()):
             return
         module_names = self._module_level(module)
         for stmt in module.tree.body:

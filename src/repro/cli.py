@@ -135,14 +135,27 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _known_mixes() -> str:
+    return (f"Table II names ({', '.join(ALL_MIXES)}) or LLM mixes "
+            f"({', '.join(LLM_MIX_NAMES)})")
+
+
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
-    mix = _build_mix(args)
+    if ":" in args.mix:
+        mix = build_custom_mix(args.mix, seed=args.seed, scale=args.scale)
+    elif args.mix in ALL_MIXES or args.mix in LLM_MIX_NAMES:
+        mix = args.mix     # by name, so its cells are shared with `sweep`
+    else:
+        raise SystemExit(f"unknown mix {args.mix!r}; compare takes "
+                         f"{_known_mixes()}, or a custom 'cpu1-cpu2:gpu' "
+                         f"spec")
     designs = tuple(args.designs.split(",")) if args.designs else FIG5_DESIGNS
     prev = faults.install(args.faults) if getattr(args, "faults", None) \
         else None
     try:
         out = api.compare(mix=mix, designs=designs, cfg=cfg,
+                          scale=args.scale, seed=args.seed,
                           engine=args.engine, jobs=args.jobs,
                           cache=_resolve_cli_cache(args, default_on=False),
                           trace_dir=getattr(args, "trace", None),
@@ -177,10 +190,9 @@ def cmd_sweep(args) -> int:
     mixes = args.mixes.split(",") if args.mixes else list(ALL_MIXES)
     for m in mixes:
         if m not in ALL_MIXES and m not in LLM_MIX_NAMES:
-            raise SystemExit(f"unknown mix {m!r}; sweep takes Table II names "
-                             f"({', '.join(ALL_MIXES)}) or LLM mixes "
-                             f"({', '.join(LLM_MIX_NAMES)}); use 'run' for "
-                             f"custom 'cpu1-cpu2:gpu' specs")
+            raise SystemExit(f"unknown mix {m!r}; sweep takes "
+                             f"{_known_mixes()}; use 'run' for custom "
+                             f"'cpu1-cpu2:gpu' specs")
     designs = tuple(args.designs.split(",")) if args.designs else FIG5_DESIGNS
     cfg = _load_cfg(args)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any
 
-from repro.core.partition import DecoupledMap
+from repro.core.partition import DecoupledMap, VectorDecoupledMap
 from repro.core.reconfig import Reconfigurator
 from repro.core.tokens import (DEFAULT_TOKEN_FRAC, TOKEN_LEVELS,
                                PerChannelFaucets, TokenFaucet)
@@ -111,7 +111,8 @@ class HydrogenPolicy(PartitionPolicy):
         # Keep the CPU capacity share >= its dedicated bandwidth share.
         cap = max(cap, _min_cap(bw, cap_units, channels))
         self.cap_units = cap_units
-        self.map = DecoupledMap(assoc, channels, cap, bw, cap_units)
+        self.map = VectorDecoupledMap(assoc, channels, cap, bw, cap_units,
+                                      num_sets=ctrl.cfg.num_sets)
 
         if self.enable_tokens:
             if self.per_channel_tokens:

@@ -35,8 +35,8 @@ class Reconfigurator:
         assert old is not None, "policy not attached to a controller"
         if cap == old.cap and bw == old.bw:
             return False
-        # spawn() preserves the concrete map class (e.g. the vectorized
-        # table-backed map used by the fast engine).
+        # spawn() keeps the concrete map class, so a table-backed map
+        # stays table-backed.
         pol.map = old.spawn(cap, bw)
         pol.generation += 1
         self.reconfigurations += 1

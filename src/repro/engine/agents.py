@@ -33,7 +33,7 @@ class TraceAgent:
                  "_addrs", "_writes", "_gaps", "_n",
                  "idx", "inflight", "stream_t", "retired", "refs_done",
                  "measure_target", "done_time", "_wake_pending",
-                 "latency_sum", "_issue_times", "total_instructions",
+                 "latency_sum", "total_instructions",
                  "on_done", "warmup_refs", "warm_time", "_warm_instr",
                  "instr_scale")
 
@@ -65,7 +65,6 @@ class TraceAgent:
         self.done_time: float | None = None
         self._wake_pending = False
         self.latency_sum = 0.0
-        self._issue_times: dict[int, float] = {}
         #: Instructions represented by each (gap + memory op) unit.  The
         #: aggregate GPU agent stands for all 96 EUs, so its references
         #: carry the EU:core ratio worth of instruction throughput —
@@ -141,22 +140,20 @@ class TraceAgent:
             # Blocking model: stalled gap work resumes at `now`, it is not
             # banked (see module docstring).
             self.stream_t = now
-            seq = self.idx
             self.idx += 1
             self.inflight += 1
             self.retired += (gap + 1.0) * self.instr_scale
-            self._issue_times[seq] = now
             self.submit(self.klass, self._addrs[i], self._writes[i],
-                        partial(self._on_response, seq))
+                        partial(self._on_response, now))
 
     def _wake(self) -> None:
         self._wake_pending = False
         self._pump()
 
-    def _on_response(self, seq: int) -> None:
+    def _on_response(self, t_issue: float) -> None:
         self.inflight -= 1
         self.refs_done += 1
-        self.latency_sum += self.eq.now - self._issue_times.pop(seq)
+        self.latency_sum += self.eq.now - t_issue
         if self.refs_done == self.warmup_refs:
             self.warm_time = self.eq.now
         if self.done_time is None and self.refs_done >= self.measure_target:

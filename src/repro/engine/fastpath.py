@@ -27,14 +27,13 @@ of :mod:`repro.engine.batch`; this module holds the state it runs over:
   against the pending release's key (:class:`FastEventQueue`), which
   reproduces the reference's ``_busy`` flag bit-exactly even for events
   landing on the release timestamp itself.
-* **Vectorized, hash-consed geometry** (:class:`FastHybridController`) —
-  a policy backed by a :class:`~repro.core.partition.DecoupledMap` is
-  upgraded to a :class:`~repro.core.partition.VectorDecoupledMap`;
-  per-set geometry rows (way->channel, ownership, eligibility) are
-  cached and, for the Hydrogen family, *hash-consed* on a
-  ``(rotation, ownership-mask)`` key so the cache survives
-  reconfigurations: a generation bump only rebuilds the key array (one
-  vectorized pass), not the rows.
+* **Hash-consed geometry** (:class:`FastHybridController`) — per-set
+  geometry rows (way->channel, ownership, eligibility) are cached and,
+  for a policy whose map is a table-backed
+  :class:`~repro.core.partition.VectorDecoupledMap` (the Hydrogen
+  family), *hash-consed* on a ``(rotation, ownership-mask)`` key so the
+  cache survives reconfigurations: a generation bump only rebuilds the
+  key array (one vectorized pass), not the rows.
 
 Serializing work — epoch/faucet/phase ticks, reconfigurations, token
 accounting, policy adaptation — still runs through the scalar event
@@ -53,16 +52,15 @@ changes without a generation bump must set ``geometry_static = False``.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.config import MemConfig
-from repro.core.partition import DecoupledMap, VectorDecoupledMap
+from repro.core.partition import VectorDecoupledMap
 from repro.engine.agents import TraceAgent
 from repro.engine.events import EventQueue
 from repro.engine.stats import Stats
 from repro.hybrid.controller import HybridMemoryController
+from repro.mem.channel import Channel
 from repro.mem.device import MemoryDevice
 from repro.traces.base import Trace
 
@@ -104,50 +102,23 @@ class FastEventQueue(EventQueue):
         self.cur_seq = 1 << 63
 
 
-class FastChannel:
-    """Slotted state of one :class:`repro.mem.channel.Channel`.
+class FastChannel(Channel):
+    """A :class:`~repro.mem.channel.Channel` with *lazy* release bookkeeping.
 
-    Identical queueing, timing and counter state, with *lazy* release
-    bookkeeping: the bus frees at ``_t_free`` via a release event whose
-    sequence number ``_s_rel`` is always consumed (so the global
-    ordering stream matches the reference) but which is only pushed —
-    at its reserved ``(time, seq)`` key — when a request queues behind
-    it.  The transfer path that drives this state is
-    :class:`repro.engine.batch._BatchChannel` plus the fused
-    interpreter.
+    The bus frees at ``_t_free`` via a release event whose sequence
+    number ``_s_rel`` is always consumed (so the global ordering stream
+    matches the reference) but which is only pushed — at its reserved
+    ``(time, seq)`` key — when a request queues behind it; ``_busy`` is
+    never read.  The transfer path that drives this state is
+    :class:`repro.engine.batch._BatchChannel` plus the fused interpreter.
     """
 
-    __slots__ = ("index", "cfg", "timing", "eq", "stats", "prefix", "_rows",
-                 "_link", "_qc", "_qg", "_rr", "busy_cycles",
-                 "priority_class", "_bytes_read", "_bytes_written",
-                 "_accesses", "_activations", "_queue_wait", "_cb_cpu",
-                 "_cb_gpu", "_row_bytes", "_bpc", "_t_cas", "_t_rcd_cas",
-                 "_t_rp", "_nbanks", "_t_free", "_s_rel", "_rel_pushed",
-                 "_hp")
+    __slots__ = ("_row_bytes", "_bpc", "_t_cas", "_t_rcd_cas", "_t_rp",
+                 "_nbanks", "_t_free", "_s_rel", "_rel_pushed", "_hp")
 
     def __init__(self, index: int, cfg: MemConfig, eq: EventQueue,
                  stats: Stats, prefix: str) -> None:
-        self.index = index
-        self.cfg = cfg
-        self.timing = cfg.timing
-        self.eq = eq
-        self.stats = stats
-        self.prefix = prefix
-        self._rows: list[int | None] = [None] * cfg.timing.banks
-        self._nbanks = cfg.timing.banks
-        self._link = cfg.link_latency
-        self._qc: deque = deque()
-        self._qg: deque = deque()
-        self._rr = "cpu"
-        self.busy_cycles = 0.0
-        self.priority_class: str | None = None
-        self._bytes_read = 0
-        self._bytes_written = 0
-        self._accesses = 0
-        self._activations = 0
-        self._queue_wait = 0.0
-        self._cb_cpu = 0
-        self._cb_gpu = 0
+        super().__init__(index, cfg, eq, stats, prefix)
         timing = cfg.timing
         self._row_bytes = timing.row_bytes
         self._bpc = timing.bytes_per_cycle
@@ -155,6 +126,7 @@ class FastChannel:
         # Same operands/order as the reference's t_rcd + t_cas.
         self._t_rcd_cas = timing.t_rcd + timing.t_cas
         self._t_rp = timing.t_rp
+        self._nbanks = timing.banks
         # Lazy release bookkeeping: the bus frees at _t_free via the
         # (reserved, possibly never-pushed) release event with seq _s_rel.
         self._t_free = -1.0
@@ -173,30 +145,6 @@ class FastChannel:
         if now < tf or (now == tf and eq.cur_seq < self._s_rel):
             return 1
         return 0
-
-    def flush_stats(self) -> None:
-        st = self.stats
-        p = self.prefix
-        st.add(f"{p}.bytes_read", self._bytes_read)
-        st.add(f"{p}.bytes_written", self._bytes_written)
-        st.add(f"{p}.accesses", self._accesses)
-        st.add(f"{p}.activations", self._activations)
-        st.add(f"{p}.queue_wait", self._queue_wait)
-        st.add(f"{p}.cpu.bytes", self._cb_cpu)
-        st.add(f"{p}.gpu.bytes", self._cb_gpu)
-        self._bytes_read = self._bytes_written = 0
-        self._accesses = self._activations = 0
-        self._queue_wait = 0.0
-        self._cb_cpu = self._cb_gpu = 0
-
-    def drop_queued(self) -> None:
-        """Discard queued requests (their payloads reference agents)."""
-        self._qc.clear()
-        self._qg.clear()
-
-    def reset_banks(self) -> None:
-        for i in range(len(self._rows)):
-            self._rows[i] = None
 
 
 class _FastDevice(MemoryDevice):
@@ -251,14 +199,6 @@ class FastHybridController(HybridMemoryController):
                 "FastHybridController requires a FastEventQueue (the "
                 "lazy-release channel model reads eq.cur_seq)")
         super().__init__(cfg, eq, stats, policy, telemetry=telemetry)
-        # Upgrade a plain DecoupledMap to the vectorized table-backed
-        # variant (bit-identical geometry; reconfiguration preserves the
-        # class via DecoupledMap.spawn).
-        m = getattr(policy, "map", None)
-        if type(m) is DecoupledMap:
-            policy.map = VectorDecoupledMap(m.assoc, m.channels, m.cap, m.bw,
-                                            m.cap_units,
-                                            num_sets=cfg.num_sets)
         # Specialization flags, one per hook row of KERNELS (see _mode).
         # HAShCache's ``chaining`` is frozen at attach time.  Without it
         # the chain kernel never finds an alternate set, and the probe

@@ -35,7 +35,18 @@ from repro.engine.stats import Stats
 
 
 class Channel:
-    """One (super)channel: FIFO (optionally class-priority) bus server."""
+    """One (super)channel: FIFO (optionally class-priority) bus server.
+
+    Declares the queueing, open-row and counter state of both engines:
+    the fast engine's :class:`~repro.engine.fastpath.FastChannel`
+    specializes it with lazy release bookkeeping.
+    """
+
+    __slots__ = ("index", "cfg", "timing", "eq", "stats", "prefix", "_rows",
+                 "_link", "_qc", "_qg", "_rr", "_busy", "busy_cycles",
+                 "priority_class", "_bytes_read", "_bytes_written",
+                 "_accesses", "_activations", "_queue_wait", "_cb_cpu",
+                 "_cb_gpu")
 
     def __init__(self, index: int, cfg: MemConfig, eq: EventQueue,
                  stats: Stats, prefix: str) -> None:
@@ -48,7 +59,9 @@ class Channel:
         # Open-page row-buffer state: bank -> open row id (None = precharged).
         self._rows: list[int | None] = [None] * cfg.timing.banks
         self._link = cfg.link_latency
-        self._queues = {"cpu": deque(), "gpu": deque()}
+        # Pending requests per class (CPU, GPU).
+        self._qc: deque = deque()
+        self._qg: deque = deque()
         self._rr = "cpu"  # next class to favor in round-robin
         self._busy = False
         self.busy_cycles = 0.0
@@ -61,7 +74,9 @@ class Channel:
         self._accesses = 0
         self._activations = 0
         self._queue_wait = 0.0
-        self._class_bytes = {"cpu": 0, "gpu": 0}
+        # Bytes transferred per class (CPU, GPU).
+        self._cb_cpu = 0
+        self._cb_gpu = 0
 
     # -- public API --------------------------------------------------------
 
@@ -73,14 +88,13 @@ class Channel:
         background traffic that only occupies the bus."""
         req = (klass, nbytes, is_write, addr, on_complete, extra, self.eq.now)
         if self._busy:
-            self._queues[klass].append(req)
+            (self._qc if klass == "cpu" else self._qg).append(req)
         else:
             self._start(req)
 
     @property
     def queue_depth(self) -> int:
-        return (len(self._queues["cpu"]) + len(self._queues["gpu"])
-                + (1 if self._busy else 0))
+        return len(self._qc) + len(self._qg) + (1 if self._busy else 0)
 
     def flush_stats(self) -> None:
         """Move accumulated counters into the shared registry."""
@@ -91,18 +105,18 @@ class Channel:
         st.add(f"{p}.accesses", self._accesses)
         st.add(f"{p}.activations", self._activations)
         st.add(f"{p}.queue_wait", self._queue_wait)
-        for klass, nbytes in self._class_bytes.items():
-            st.add(f"{p}.{klass}.bytes", nbytes)
+        st.add(f"{p}.cpu.bytes", self._cb_cpu)
+        st.add(f"{p}.gpu.bytes", self._cb_gpu)
         self._bytes_read = self._bytes_written = 0
         self._accesses = self._activations = 0
         self._queue_wait = 0.0
-        self._class_bytes = {"cpu": 0, "gpu": 0}
+        self._cb_cpu = self._cb_gpu = 0
 
     def drop_queued(self) -> None:
-        """Discard queued requests (their callbacks reference agents);
-        counters stay readable."""
-        for q in self._queues.values():
-            q.clear()
+        """Discard queued requests (their callbacks or payloads reference
+        agents); counters stay readable."""
+        self._qc.clear()
+        self._qg.clear()
 
     def reset_banks(self) -> None:
         """Precharge all banks (used by tests)."""
@@ -138,7 +152,10 @@ class Channel:
             self._bytes_read += nbytes
         self._accesses += 1
         self._queue_wait += now - submit_time
-        self._class_bytes[klass] += nbytes
+        if klass == "cpu":
+            self._cb_cpu += nbytes
+        else:
+            self._cb_gpu += nbytes
         self.busy_cycles += burst
 
         self._busy = True
@@ -147,9 +164,9 @@ class Channel:
             eq.after(latency + burst + extra + self._link, on_complete)
 
     def _release(self) -> None:
-        qc, qg = self._queues["cpu"], self._queues["gpu"]
+        qc, qg = self._qc, self._qg
         if self.priority_class is not None:
-            hi = self._queues[self.priority_class]
+            hi = qc if self.priority_class == "cpu" else qg
             lo = qg if hi is qc else qc
             if hi:
                 self._start(hi.popleft())

@@ -10,6 +10,7 @@ reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.config import MemConfig
 from repro.engine.stats import Stats
@@ -17,7 +18,7 @@ from repro.engine.stats import Stats
 #: Background power per tier, in nJ per cycle (i.e. W at 1.6 GHz * 0.625 ns).
 #: DDR4 DIMMs burn more background power per GB than stacked HBM at our
 #: scaled capacities; only the fast:slow ratio matters for Fig. 6 shapes.
-STATIC_NJ_PER_CYCLE = {"fast": 0.5, "slow": 1.5}
+STATIC_NJ_PER_CYCLE = MappingProxyType({"fast": 0.5, "slow": 1.5})
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ opt-in instrumentation layer that answers exactly that question:
   run each candidate engine with its own recording, diff the streams.
 
 Canonicalization is what makes the digests engine-portable: request
-tuples drop their callback/tag/payload slot, open-row state reads the
-same whether it lives in a Python list or a NumPy array, and class-byte
-counters compare across the dict-based reference channel and the
-slotted fast channel.  When the sanitizer is off (the default
-:data:`NULL_SANITIZER`, same pattern as telemetry's ``NULL_SINK``) the
-engines pay one attribute check per boundary tick and nothing else.
+tuples drop their callback/tag/payload slot, and open-row state reads
+the same whether it lives in a Python list or a NumPy array.  Every
+other channel field has the one layout
+:class:`~repro.mem.channel.Channel` declares for both engines.  When
+the sanitizer is off (the default :data:`NULL_SANITIZER`, same pattern
+as telemetry's ``NULL_SINK``) the engines pay one attribute check per
+boundary tick and nothing else.
 """
 
 from __future__ import annotations
@@ -144,12 +145,8 @@ def _canon_req(req: tuple) -> tuple:
 
 def _canon_queue(ch: Any) -> tuple:
     """Per-class pending request tuples in canonical form."""
-    queues = getattr(ch, "_queues", None)
-    if queues is not None:                       # reference Channel
-        qc, qg = queues["cpu"], queues["gpu"]
-    else:                                        # fast channel
-        qc, qg = ch._qc, ch._qg
-    return tuple(tuple(_canon_req(req) for req in q) for q in (qc, qg))
+    return tuple(tuple(_canon_req(req) for req in q)
+                 for q in (ch._qc, ch._qg))
 
 
 def _canon_rows(ch: Any) -> tuple:
@@ -160,18 +157,11 @@ def _canon_rows(ch: Any) -> tuple:
     return tuple(-1 if row is None else row for row in ch._rows)
 
 
-def _canon_class_bytes(ch: Any) -> tuple[int, int]:
-    cb = getattr(ch, "_class_bytes", None)
-    if cb is not None:                           # reference Channel
-        return cb["cpu"], cb["gpu"]
-    return ch._cb_cpu, ch._cb_gpu
-
-
 def _channel_state(ch: Any) -> tuple:
     return (_canon_queue(ch), ch.queue_depth, _canon_rows(ch), ch._rr,
             ch.busy_cycles, ch._bytes_read, ch._bytes_written,
             ch._accesses, ch._activations, ch._queue_wait,
-            _canon_class_bytes(ch))
+            (ch._cb_cpu, ch._cb_gpu))
 
 
 def _store_state(store: Any) -> tuple:

@@ -11,10 +11,11 @@ disk:
   appended to ``<dir>/journal.jsonl`` *before* the submission is
   acknowledged (write-ahead), one fsync'd JSON line per record;
 * every resolved cell appends a ``done`` (or ``failed``) record after
-  its result landed in the journal's content-addressed result store —
+  its result landed in the engine's content-addressed result store —
   a :class:`~repro.experiments.cache.SweepCache` under ``<dir>/cache``
-  keyed by the same engine digests, so the journal never copies a
-  ``SimResult``, it only marks one durable;
+  unless the server names another, keyed by the same engine digests,
+  so the journal never copies a ``SimResult``, it only marks one
+  durable;
 * on restart, :meth:`Journal.replay` returns the record sequence in
   append order and the server re-runs it as a deterministic event
   replay: campaigns re-register, ``done`` digests resolve from the
@@ -75,19 +76,17 @@ class Journal:
     record log is ``<root>/journal.jsonl`` and completed cell results
     live in the content-addressed :class:`SweepCache` at
     ``<root>/cache`` (exposed as :attr:`cache` — the campaign server
-    wires it in as the engine's result cache so ``done`` records and
-    stored results share one digest vocabulary).
+    wires it in as the engine's result cache unless its ``cache=``
+    names another store).
 
-    ``fsync=False`` trades durability for speed (tests, benchmarks);
-    the default flushes and fsyncs every appended record, so a record
-    returned by :meth:`replay` survived a hard crash by construction.
+    Every appended record is flushed and fsync'd, so a record returned
+    by :meth:`replay` survived a hard crash by construction.
     """
 
-    def __init__(self, root: "str | Path", *, fsync: bool = True) -> None:
+    def __init__(self, root: "str | Path") -> None:
         self.root = Path(root)
         self.path = self.root / JOURNAL_FILE
         self.cache = SweepCache(self.root / "cache")
-        self.fsync = fsync
         self._fh: Any = None
         #: Set once an append fails: the journal stops writing for the
         #: rest of the server's life and the loss is surfaced through
@@ -104,7 +103,7 @@ class Journal:
         """Durably append one record; returns ``True`` on success.
 
         The record is stamped with ``schema_version``, written as one
-        JSON line, flushed, and (by default) fsync'd before returning —
+        JSON line, flushed, and fsync'd before returning —
         write-ahead semantics for the caller.  An ``OSError`` (real or
         injected through the ``journal`` fault kind) warns once and
         disables the journal; it never propagates.
@@ -120,8 +119,7 @@ class Journal:
                 self._fh = open(self.path, "ab")
             self._fh.write(line.encode())
             self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
+            os.fsync(self._fh.fileno())
         except OSError as exc:
             self._disable(exc)
             return False

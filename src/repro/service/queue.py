@@ -37,14 +37,9 @@ class FairQueue:
     campaign costs its class as much as a hundred 1-cell ones.
     """
 
-    def __init__(self, weights: dict[str, float] | None = None) -> None:
-        self.weights = dict(weights or PRIORITIES)
-        for name, w in self.weights.items():
-            if w <= 0:
-                raise ValueError(f"weight for {name!r} must be > 0, "
-                                 f"got {w}")
+    def __init__(self) -> None:
         self._heap: list[tuple[float, int, Any, str]] = []
-        self._last_tag = {name: 0.0 for name in self.weights}
+        self._last_tag = {name: 0.0 for name in PRIORITIES}
         self._depths: dict[str, int] = {}
         self._vtime = 0.0
         self._seq = 0
@@ -53,11 +48,11 @@ class FairQueue:
              size: float = 1.0) -> float:
         """Enqueue ``item`` under ``priority``; returns its tag."""
         try:
-            weight = self.weights[priority]
+            weight = PRIORITIES[priority]
         except KeyError:
             raise ValueError(
                 f"unknown priority {priority!r}; known: "
-                f"{', '.join(sorted(self.weights))}") from None
+                f"{', '.join(sorted(PRIORITIES))}") from None
         if size <= 0:
             raise ValueError(f"size must be > 0, got {size}")
         start = max(self._vtime, self._last_tag[priority])
@@ -86,7 +81,7 @@ class FairQueue:
         stable for dashboards polling ``/v1/health``.
         """
         return {name: self._depths.get(name, 0)
-                for name in sorted(self.weights)}
+                for name in sorted(PRIORITIES)}
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -21,7 +21,7 @@ server runs over a :class:`~repro.service.journal.Journal` — accepted
 campaigns are journaled *before* they are acknowledged and every cell
 outcome is journaled *before* its row is streamed, so a restarted
 server replays the journal on startup, resolves already-computed cells
-from the journal's result store, re-enqueues the rest, and streams
+from the result store its engine writes, re-enqueues the rest, and streams
 rows bit-identical to an uninterrupted run (stream clients resume with
 ``?from=N``).  Admission control (``max_queued_cells`` -> 429 +
 ``Retry-After``) bounds the backlog, and :meth:`CampaignServer.drain`
@@ -192,15 +192,16 @@ class CampaignServer:
     ``failures="collect"`` so a poisoned cell never kills the stream
     (a ``failures="raise"`` *spec* is surfaced client-side instead).
     ``batch_cells`` bounds how many queued cells one engine batch may
-    drain (the fairness granularity); ``weights`` overrides the
-    priority-class weights of :data:`~repro.service.queue.PRIORITIES`.
+    drain (the fairness granularity).
 
     Robustness knobs: ``journal`` (``None`` | directory path |
     :class:`~repro.service.journal.Journal`) enables the write-ahead
-    job journal — when set and ``cache`` is unset, the engine writes
-    results into the journal's own store so ``done`` records and
-    results share one digest vocabulary.  ``max_queued_cells`` caps
-    the fair-queue backlog (admission control; excess submits get 429).
+    job journal — when set and ``cache`` is unset or ``False``, the
+    engine writes results into the journal's own store; a ``cache``
+    naming another store holds them instead, and replay resolves
+    ``done`` records from whichever store the engine writes.
+    ``max_queued_cells`` caps the fair-queue backlog (admission
+    control; excess submits get 429).
     ``killable=True`` (only ever set by the foreground ``repro serve``
     process) arms the ``kill`` fault-injection point so chaos tests
     can crash a real server process mid-campaign.
@@ -209,13 +210,10 @@ class CampaignServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  workers: int | None = None, cache: Any = None,
                  retry: Any = None, job_timeout: float | None = None,
-                 batch_cells: int = 32,
-                 weights: dict[str, float] | None = None,
-                 journal: Any = None,
+                 batch_cells: int = 32, journal: Any = None,
                  max_queued_cells: int | None = None,
                  killable: bool = False,
-                 telemetry: Telemetry | None = None,
-                 progress: Any = None) -> None:
+                 telemetry: Telemetry | None = None) -> None:
         if batch_cells < 1:
             raise ValueError(f"batch_cells must be >= 1, got {batch_cells}")
         if max_queued_cells is not None and max_queued_cells < 1:
@@ -226,12 +224,11 @@ class CampaignServer:
         self.cfg = default_system()
         self.telemetry = telemetry if telemetry is not None else NULL_SINK
         self.journal = resolve_journal(journal)
-        if self.journal is not None and cache is None:
+        if self.journal is not None and (cache is None or cache is False):
             cache = self.journal.cache
         self.engine = SweepEngine(workers=workers, cache=cache,
                                   retry=retry, job_timeout=job_timeout,
-                                  failures="collect", telemetry=telemetry,
-                                  progress=progress)
+                                  failures="collect", telemetry=telemetry)
         self.batch_cells = batch_cells
         self.max_queued_cells = max_queued_cells
         self.killable = killable
@@ -243,7 +240,7 @@ class CampaignServer:
         #: True once a drain started: no new admissions, scheduler
         #: winds down after the in-flight batch.
         self.draining = False
-        self._queue = FairQueue(weights)
+        self._queue = FairQueue()
         self._cells: dict[str, _Cell] = {}
         self._jobs: dict[str, _Campaign] = {}
         self._attach: dict[str, str] = {}        # spec digest -> job_id
@@ -332,7 +329,8 @@ class CampaignServer:
             self._stopped.set()
 
     async def wait_stopped(self) -> None:
-        """Block until :meth:`stop` completes (used by ``serve``)."""
+        """Block until the server is stopped (used by
+        :func:`serve_in_thread`)."""
         assert self._stopped is not None, "server not started"
         await self._stopped.wait()
 
@@ -347,9 +345,10 @@ class CampaignServer:
         so each campaign's row list is rebuilt in exactly the order an
         uninterrupted server streamed it, which is what makes
         ``?from=N`` stream resumption valid across restarts.  A
-        ``done`` record whose result is missing from the result store
-        (torn entry, cleared cache) is simply ignored: the cell stays
-        queued and is recomputed bit-identically.
+        ``done`` record resolves through the store the engine writes
+        results into; one whose result is missing there (torn entry,
+        cleared cache) is simply ignored: the cell stays queued and is
+        recomputed bit-identically.
         """
         assert self.journal is not None
         records = self.journal.replay()
@@ -383,7 +382,7 @@ class CampaignServer:
                                       journal=False)
                     recovered += 1
                     continue
-                result = self.journal.cache.get(cell.digest)
+                result = self.engine.cache.get(cell.digest)
                 if result is None:
                     continue               # result store miss: recompute
                 self._cell_done(cell, result, True, journal=False)
@@ -515,14 +514,6 @@ class CampaignServer:
         finally:
             self.engine.on_result = None
             self.engine.on_failure = None
-        # Belt and braces: _cell_failed is idempotent (state guard), so
-        # re-walking the report only catches hook-less edge cases.
-        for failure in report.failures:
-            cell = by_job.get(failure.job)
-            if cell is not None:
-                self._cell_failed(cell, {
-                    "label": failure.label, "kind": failure.kind,
-                    "error": failure.error, "attempts": failure.attempts})
         if report.cache_hits:
             self.telemetry.event("service.dedup", shared=report.cache_hits,
                                  source="cache")
@@ -802,19 +793,12 @@ def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                 hooked.append(sig)
             except (NotImplementedError, RuntimeError):
                 pass   # platform without loop signal support
-        waiters = [loop.create_task(server.wait_stopped()),
-                   loop.create_task(interrupted.wait())]
         try:
-            await asyncio.wait(waiters,
-                               return_when=asyncio.FIRST_COMPLETED)
-            if interrupted.is_set():
-                print("repro service draining (finishing in-flight "
-                      "batches)...", flush=True)
+            await interrupted.wait()
+            print("repro service draining (finishing in-flight "
+                  "batches)...", flush=True)
             await server.drain()
         finally:
-            for task in waiters:
-                task.cancel()
-            await asyncio.gather(*waiters, return_exceptions=True)
             for sig in hooked:
                 loop.remove_signal_handler(sig)
             await server.stop()

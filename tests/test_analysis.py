@@ -489,12 +489,33 @@ def test_iso01_scoped_to_engine_core(tmp_path):
     source = """\
         _CACHE = {}
         """
-    # The same shape outside batch/fastpath/hybrid is MUT-territory at
-    # worst, not a cross-cell aliasing hazard.
-    assert lint_source(tmp_path, source, StateIsolationRule(),
-                       name="engine/simulator.py") == []
+    # Every simulation-state module is in scope; outside them the same
+    # shape is MUT-territory at worst, not a cross-cell aliasing hazard.
+    assert [f.rule_id for f in lint_source(
+        tmp_path, source, StateIsolationRule(),
+        name="engine/simulator.py")] == ["ISO01"]
     assert lint_source(tmp_path, source, StateIsolationRule(),
                        name="experiments/sweep.py") == []
+
+
+def test_iso01_covers_core(tmp_path):
+    findings = lint_source(tmp_path, """\
+        class Faucet:
+            banks = {}
+        """, StateIsolationRule(), name="core/tokens.py")
+    assert [f.rule_id for f in findings] == ["ISO01"]
+    assert "Faucet" in findings[0].message
+
+
+def test_iso01_covers_mem(tmp_path):
+    findings = lint_source(tmp_path, """\
+        STATIC = {"fast": 0.5}
+
+        def retune(tier, value):
+            STATIC[tier] = value
+        """, StateIsolationRule(), name="mem/energy.py")
+    assert [f.rule_id for f in findings] == ["ISO01", "ISO01"]
+    assert [f.line for f in findings] == [1, 4]
 
 
 def test_flt01_sum_over_dict_view(tmp_path):

@@ -131,6 +131,24 @@ def test_sweep_unknown_mix(capsys):
         main(["sweep", "--mixes", "C99"])
 
 
+def test_compare_then_sweep_simulates_nothing(capsys, tmp_path):
+    """`compare` keys a named mix's cells like `sweep` does, so a sweep
+    over the same cache directory recalls every cell."""
+    shared = ("--scale", "0.02", "--cache-dir", str(tmp_path / "cache"))
+    code, _ = run_cli(capsys, "compare", "--mix", "C1", "--designs",
+                      "waypart", *shared)
+    assert code == 0
+    code, out = run_cli(capsys, "sweep", "--mixes", "C1", "--designs",
+                        "waypart", *shared)
+    assert code == 0
+    assert "2 cache hits (100%)" in out and "0 simulated" in out
+
+
+def test_compare_unknown_mix(capsys):
+    with pytest.raises(SystemExit, match="unknown mix 'C99'"):
+        main(["compare", "--mix", "C99"])
+
+
 def test_traces_command(capsys, tmp_path):
     code, out = run_cli(capsys, "traces", "--mix", "C1", "--scale", "0.05",
                         "--out", str(tmp_path / "t"))

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition import DecoupledMap, coupled_channel, way_rank
+from repro.core.partition import (DecoupledMap, VectorDecoupledMap,
+                                  coupled_channel, way_rank)
 from repro.core.reconfig import estimate_relocations
 
 NSETS = 512
@@ -15,6 +16,30 @@ def test_channel_mapping_is_per_set_rotation():
     for s in range(32):
         chans = [m.channel(s, w) for w in range(4)]
         assert sorted(chans) == [0, 1, 2, 3]  # bijection per set
+
+
+def test_vector_map_matches_the_scalar_formula():
+    """The table-backed map Hydrogen runs on both engines equals the
+    scalar formula on every set, for every (cap, bw) of each geometry,
+    and a reconfiguration keeps it table-backed."""
+    sets = 19
+    for assoc in (1, 2, 4, 8, 16):
+        for channels in (1, 2, 3, 4, 8):
+            units = max(assoc, channels, 2)
+            for bw in range(channels):
+                for cap in range(units + 1):
+                    ref = DecoupledMap(assoc, channels, cap, bw, units)
+                    vec = VectorDecoupledMap(assoc, channels, cap, bw, units,
+                                             num_sets=sets)
+                    for s in range(sets):
+                        assert [vec.channel(s, w) for w in range(assoc)] \
+                            == [ref.channel(s, w) for w in range(assoc)]
+                        assert vec.owners(s) == ref.owners(s)
+                        assert vec.dedicated_cpu_ways(s) == \
+                            ref.dedicated_cpu_ways(s)
+    moved = vec.spawn(cap=1, bw=0)
+    assert type(moved) is VectorDecoupledMap and moved.num_sets == sets
+    assert (moved.cap, moved.bw, moved.cap_units) == (1, 0, vec.cap_units)
 
 
 def test_dedicated_way_count_matches_bw():

@@ -388,6 +388,35 @@ def test_drain_mid_campaign_then_restart_is_bit_identical(tmp_path):
         sorted(ref, key=lambda r: (r.design, r.mix))
 
 
+@pytest.mark.parametrize("cache", ["other", None])
+def test_restart_keeps_row_order_whichever_store_holds_results(tmp_path,
+                                                               cache):
+    """Replay resolves ``done`` cells from the store the engine writes,
+    so a resumed stream keeps its row order with a separate cache too."""
+    store = tmp_path / cache if cache else None
+    kw = dict(port=0, workers=1, journal=tmp_path / "journal", cache=store)
+    first = CampaignSpec(mixes=("C1", "C2"), designs=("hydrogen",), **TINY)
+    second = CampaignSpec(mixes=("C3", "C1"), designs=("hydrogen",),
+                          priority="interactive", **TINY)
+    with serve_in_thread(**kw) as handle:
+        client = ServiceClient(handle.host, handle.port)
+        client.run(first)
+        rows, final = client.run(second)
+    assert final.ok and len(rows) == 4
+    with serve_in_thread(**kw) as handle:
+        client = ServiceClient(handle.host, handle.port)
+        job_id = client.submit(second, attach=True).job_id
+        assert job_id == final.job_id
+        assert list(client.stream(job_id)) == rows
+
+
+def test_journal_store_backs_a_server_with_caching_off(tmp_path):
+    with serve_in_thread(port=0, workers=1, journal=tmp_path / "journal",
+                         cache=False) as handle:
+        server = handle.server
+        assert server.engine.cache is server.journal.cache
+
+
 def test_submitting_while_draining_gets_503(tmp_path):
     # Flip the drain flag without running the full drain (which ends by
     # closing the socket): submissions inside the drain window get 503.
