@@ -22,8 +22,6 @@ Rules are plugins: subclass :class:`Rule`, implement ``check(module)``
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.analysis.apiusage import PrivateImportRule
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.floatorder import FloatOrderRule
@@ -34,7 +32,6 @@ from repro.analysis.mutables import MutableDefaultRule
 from repro.analysis.picklability import SweepPicklabilityRule
 from repro.analysis.purity import TelemetryPurityRule
 from repro.analysis.robustness import RobustnessRule
-from repro.analysis.sarif import sarif_json, to_sarif
 from repro.analysis.seedflow import SeedFlowRule
 from repro.analysis.statskeys import StatsKeyRegistryRule
 from repro.analysis.style import (LineLengthRule, UnusedImportRule,
@@ -55,23 +52,12 @@ STYLE_RULES = (LineLengthRule, WhitespaceRule, UnusedImportRule)
 ALL_RULES = DOMAIN_RULES + STYLE_RULES
 
 
-def _instantiate(classes, docs_path: str | Path | None) -> list[Rule]:
-    """Fresh single-use instances; KEY01 gets the registry document."""
-    return [cls(docs_path) if cls is StatsKeyRegistryRule else cls()
-            for cls in dict.fromkeys(classes)]
+def default_rules() -> list[Rule]:
+    """Fresh single-use instances of every rule in ``ALL_RULES``."""
+    return [cls() for cls in ALL_RULES]
 
 
-def default_rules(docs_path: str | Path | None = None) -> list[Rule]:
-    """Fresh single-use instances of every rule in ``ALL_RULES``.
-
-    ``docs_path`` pins the Stats-counter registry document
-    (auto-discovered from the linted tree when None).
-    """
-    return _instantiate(ALL_RULES, docs_path)
-
-
-def rules_by_id(spec: str,
-                docs_path: str | Path | None = None) -> list[Rule]:
+def rules_by_id(spec: str) -> list[Rule]:
     """Instantiate rules from a comma-separated spec.
 
     Accepts rule ids (``DET01``), rule names (``determinism``), and the
@@ -96,12 +82,12 @@ def rules_by_id(spec: str,
             raise ValueError(f"unknown rule {token!r}; known: {known} "
                              f"(or domain/style/all)")
         chosen.extend(matches)
-    return _instantiate(chosen, docs_path)
+    return [cls() for cls in dict.fromkeys(chosen)]
 
 
 __all__ = [
     "Finding", "Module", "Rule", "run_rules", "iter_python_files",
-    "default_rules", "rules_by_id", "to_sarif", "sarif_json",
+    "default_rules", "rules_by_id",
     "DeterminismRule", "SeedFlowRule", "StateIsolationRule",
     "FloatOrderRule", "TelemetryPurityRule", "SweepPicklabilityRule",
     "StatsKeyRegistryRule", "MutableDefaultRule", "PrivateImportRule",

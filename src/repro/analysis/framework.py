@@ -156,10 +156,6 @@ class Rule:
     name: str = "rule"
     severity: str = "error"
     description: str = ""
-    #: Rules whose :meth:`finalize` findings are only meaningful after
-    #: seeing the whole tree (e.g. the stats-key registry) set this;
-    #: incremental drivers (``repro lint --changed``) skip them.
-    whole_tree: bool = False
 
     def check(self, module: Module) -> Iterable[Finding]:
         """Findings for one parsed module (may be empty)."""

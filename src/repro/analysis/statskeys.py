@@ -107,11 +107,15 @@ def _key_arg(node: ast.AST) -> str | None:
 
 
 class StatsKeyRegistryRule(Rule):
-    """Stats counter keys must match docs/telemetry.md's registry."""
+    """Stats counter keys must match docs/telemetry.md's registry.
+
+    The registry is the first ``docs/telemetry.md`` found searching
+    upward from the linted files; ``docs_path`` pins another document
+    (the rule's fixture tests inject one).
+    """
 
     rule_id = "KEY01"
     name = "stats-key-registry"
-    whole_tree = True
     description = ("every Stats counter key literal (add/get/delta/"
                    "*_KEYS sites) must appear in docs/telemetry.md's "
                    "Stats counter registry, and every documented "

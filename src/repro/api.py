@@ -1,8 +1,9 @@
 """Stable keyword-only facade over the simulation and sweep machinery.
 
 This module is the supported entry point for programmatic use.  Every
-function takes keyword-only arguments, accepts mixes by Table II name or
-as built :class:`~repro.traces.mixes.WorkloadMix` objects, and defaults
+function takes keyword-only arguments, accepts mixes by name (Table II,
+LLM or a custom ``"cpu1-cpu2:gpu"`` spec) or as built
+:class:`~repro.traces.mixes.WorkloadMix` objects, and defaults
 to the fast engine, which is bit-exact with the reference event loop
 (see docs/api.md).
 
@@ -43,7 +44,7 @@ def _resolve_scale(scale: float | None) -> float:
 
 def coerce_mix(mix: str | WorkloadMix, scale: float | None,
                seed: int) -> WorkloadMix:
-    """A Table II name becomes a built mix; a built mix passes through."""
+    """A mix name becomes a built mix; a built mix passes through."""
     if isinstance(mix, str):
         return build_mix(mix, scale=_resolve_scale(scale), seed=seed)
     return mix
@@ -56,7 +57,7 @@ def simulate(*, mix: str | WorkloadMix, design: str = "hydrogen",
              **sim_kw) -> SimResult:
     """Run one design on one mix; returns a :class:`SimResult`.
 
-    ``mix`` is a Table II name (built with ``scale``/``seed``; ``scale``
+    ``mix`` is a mix name (built with ``scale``/``seed``; ``scale``
     ``None`` defers to ``$REPRO_SCALE``) or an already-built
     :class:`~repro.traces.mixes.WorkloadMix`.  ``design`` is a registry
     name or a policy instance.  ``engine`` selects the simulation core:

@@ -32,18 +32,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 
 from repro import api, faults
-from repro.analysis import default_rules, rules_by_id, run_rules, sarif_json
+from repro.analysis import default_rules, rules_by_id, run_rules
 from repro.config import default_system, hbm3
 from repro.config_io import apply_overrides, config_from_json, config_to_json
 from repro.engine.simulator import ENGINES, resolve_engine
 from repro.experiments import figures
 from repro.experiments.cache import SweepCache, resolve_cache
-from repro.experiments.designs import ALL_DESIGNS, FIG5_DESIGNS
+from repro.experiments.designs import (ALL_DESIGNS, FIG5_DESIGNS,
+                                       check_design)
 from repro.experiments.report import (PERF_HEADERS, epoch_table,
                                       format_events, format_sweep_stats,
                                       format_table, perf_csv_rows, to_csv)
@@ -54,9 +54,9 @@ from repro.service.server import DEFAULT_PORT
 from repro.telemetry import EpochRecorder, JsonlSink, TeeSink
 from repro.traces.cpu import CPU_SPECS
 from repro.traces.gpu import GPU_SPECS
-from repro.traces.io import build_custom_mix, save_mix
+from repro.traces.io import save_mix
 from repro.traces.llm import LLM_MIX_NAMES, LLM_SPECS
-from repro.traces.mixes import ALL_MIXES, build_mix
+from repro.traces.mixes import ALL_MIXES
 
 
 def _load_cfg(args) -> "SystemConfig":
@@ -75,10 +75,20 @@ def _load_cfg(args) -> "SystemConfig":
     return cfg
 
 
+def _mix_specs(args, mixes, designs=()) -> list[MixSpec]:
+    """Recipes for ``mixes`` at ``--scale``/``--seed``, every mix and
+    design name checked first: an unknown one exits with a one-line
+    message naming the known ones, before anything simulates."""
+    try:
+        for design in designs:
+            check_design(design)
+        return [MixSpec(m, scale=args.scale, seed=args.seed) for m in mixes]
+    except KeyError as exc:
+        raise SystemExit(f"repro {args.command}: {exc.args[0]}") from None
+
+
 def _build_mix(args):
-    if ":" in args.mix:
-        return build_custom_mix(args.mix, seed=args.seed, scale=args.scale)
-    return build_mix(args.mix, seed=args.seed, scale=args.scale)
+    return _mix_specs(args, [args.mix])[0].build()
 
 
 def _resolve_cli_cache(args, *, default_on: bool):
@@ -135,26 +145,15 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _known_mixes() -> str:
-    return (f"Table II names ({', '.join(ALL_MIXES)}) or LLM mixes "
-            f"({', '.join(LLM_MIX_NAMES)})")
-
-
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
-    if ":" in args.mix:
-        mix = build_custom_mix(args.mix, seed=args.seed, scale=args.scale)
-    elif args.mix in ALL_MIXES or args.mix in LLM_MIX_NAMES:
-        mix = args.mix     # by name, so its cells are shared with `sweep`
-    else:
-        raise SystemExit(f"unknown mix {args.mix!r}; compare takes "
-                         f"{_known_mixes()}, or a custom 'cpu1-cpu2:gpu' "
-                         f"spec")
     designs = tuple(args.designs.split(",")) if args.designs else FIG5_DESIGNS
+    _mix_specs(args, [args.mix], designs)
     prev = faults.install(args.faults) if getattr(args, "faults", None) \
         else None
     try:
-        out = api.compare(mix=mix, designs=designs, cfg=cfg,
+        # By name, so its cells are shared with `sweep`.
+        out = api.compare(mix=args.mix, designs=designs, cfg=cfg,
                           scale=args.scale, seed=args.seed,
                           engine=args.engine, jobs=args.jobs,
                           cache=_resolve_cli_cache(args, default_on=False),
@@ -188,15 +187,10 @@ def cmd_sweep(args) -> int:
             return 0  # bare --clear-cache: don't launch the full default grid
 
     mixes = args.mixes.split(",") if args.mixes else list(ALL_MIXES)
-    for m in mixes:
-        if m not in ALL_MIXES and m not in LLM_MIX_NAMES:
-            raise SystemExit(f"unknown mix {m!r}; sweep takes "
-                             f"{_known_mixes()}; use 'run' for custom "
-                             f"'cpu1-cpu2:gpu' specs")
     designs = tuple(args.designs.split(",")) if args.designs else FIG5_DESIGNS
+    specs = _mix_specs(args, mixes, designs)
     cfg = _load_cfg(args)
 
-    specs = [MixSpec(m, scale=args.scale, seed=args.seed) for m in mixes]
     prev = faults.install(args.faults) if getattr(args, "faults", None) \
         else None
     try:
@@ -257,10 +251,10 @@ def _run_chaos(args) -> int:
     mixes = args.mixes.split(",") if args.mixes else ["C1"]
     designs = tuple(args.designs.split(",")) if args.designs \
         else ("waypart",)
+    specs = _mix_specs(args, mixes, designs)
     cfg = _load_cfg(args)
     jobs = args.jobs if args.jobs is not None else 2
     say = None if args.quiet else print
-    specs = [MixSpec(m, scale=args.scale, seed=args.seed) for m in mixes]
     retry = RetryPolicy(max_attempts=4, backoff_base=0.01)
     rec = EpochRecorder()
 
@@ -415,86 +409,30 @@ def cmd_report(args) -> int:
     return 0
 
 
-def changed_files(paths: list[str], base: str = "main") -> list[str]:
-    """Python files under ``paths`` differing from ``merge-base HEAD base``.
-
-    Committed changes come from ``git diff --name-only`` against the
-    merge base; uncommitted new files from ``git ls-files --others``.
-    Raises ``SystemExit`` when git (or the base ref) is unavailable —
-    ``--changed`` only makes sense inside a repository.
-    """
-    def git(*argv: str) -> list[str]:
-        proc = subprocess.run(["git", *argv], capture_output=True,
-                              text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"repro lint --changed: git {argv[0]} failed: "
-                             f"{proc.stderr.strip()}")
-        return [ln for ln in proc.stdout.splitlines() if ln.strip()]
-
-    merge_base = git("merge-base", "HEAD", base)[0]
-    candidates = set(git("diff", "--name-only", merge_base))
-    candidates.update(git("ls-files", "--others", "--exclude-standard"))
-    roots = [Path(p).resolve() for p in paths]
-    out = []
-    for rel in sorted(candidates):
-        p = Path(rel)
-        if p.suffix != ".py" or not p.exists():
-            continue
-        rp = p.resolve()
-        if any(root == rp or root in rp.parents for root in roots):
-            out.append(rel)
-    return out
-
-
 def cmd_lint(args) -> int:
     """Run the AST invariant linter (``repro.analysis``) over paths.
 
-    Exit code 0 when clean, 1 when findings exist, 2 on usage errors.
-    ``--json`` emits a SARIF-shaped report instead of text lines;
-    ``--changed`` narrows the run to files differing from the merge
-    base with ``--base`` (default ``main``).
+    Exit code 0 when clean, 1 on findings or an unknown rule or path,
+    2 on an argparse usage error.  KEY01 finds the Stats counter
+    registry by searching upward from the linted files for
+    ``docs/telemetry.md``.
     """
     paths = args.paths or (["src"] if Path("src").is_dir() else ["."])
-    if args.changed:
-        paths = changed_files(paths, args.base)
-        if not paths:
-            print("repro lint: no changed Python files under the given "
-                  "paths; nothing to do")
-            return 0
-    docs = args.docs
-    if docs is None and Path("docs/telemetry.md").exists():
-        docs = "docs/telemetry.md"
     try:
-        if args.rules:
-            rules = rules_by_id(args.rules, docs)
-        else:
-            rules = default_rules(docs)
+        rules = rules_by_id(args.rules) if args.rules else default_rules()
     except ValueError as exc:
         raise SystemExit(f"repro lint: {exc}")
-    if args.changed:
-        # Whole-tree rules (cross-module registries) see only a slice of
-        # their producers on an incremental run and would misfire.
-        rules = [r for r in rules if not r.whole_tree]
-    if args.list_rules:
-        for r in rules:
-            print(f"{r.rule_id}  {r.name:20s} [{r.severity}] "
-                  f"{r.description}")
-        return 0
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
         raise SystemExit(f"repro lint: no such path(s): "
                          f"{', '.join(missing)}")
     findings = run_rules(paths, rules)
-    if args.json:
-        print(sarif_json(findings, rules))
-    else:
-        for f in findings:
-            print(f.format())
-        n_err = sum(1 for f in findings if f.severity == "error")
-        n_warn = len(findings) - n_err
-        print(f"repro lint: {len(findings)} finding(s) "
-              f"({n_err} error, {n_warn} warning) over "
-              f"{', '.join(paths)}")
+    for f in findings:
+        print(f.format())
+    n_err = sum(1 for f in findings if f.severity == "error")
+    print(f"repro lint: {len(findings)} finding(s) "
+          f"({n_err} error, {len(findings) - n_err} warning) over "
+          f"{', '.join(paths)}")
     return 1 if findings else 0
 
 
@@ -517,11 +455,11 @@ def cmd_sanitize(args) -> int:
     # Aliases resolve first, so "fast,batch" replays the engine once.
     engines = tuple(dict.fromkeys(resolve_engine(e) for e in engines))
     designs = tuple(d.strip() for d in args.designs.split(",") if d.strip())
+    mix = _mix_specs(args, [args.mix], designs)[0].build()
     failures = 0
     for design in designs:
-        reports = sanitize_compare(mix=args.mix, design=design, cfg=cfg,
-                                   engines=engines, scale=args.scale,
-                                   seed=args.seed)
+        reports = sanitize_compare(mix=mix, design=design, cfg=cfg,
+                                   engines=engines)
         for rep in reports:
             head = (f"sanitize: {rep.mix} x {design} "
                     f"[{rep.engine} vs reference]")
@@ -566,10 +504,7 @@ def cmd_submit(args) -> int:
             spec = CampaignSpec(mixes=mixes, designs=designs,
                                 scale=args.scale, seed=args.seed,
                                 engine=args.engine,
-                                priority=args.priority,
-                                failures=("collect"
-                                          if args.collect_failures
-                                          else "raise"))
+                                priority=args.priority)
             status = client.submit(spec, attach=args.attach)
             job_id = status.job_id
             if not args.wait:
@@ -637,7 +572,9 @@ def make_parser() -> argparse.ArgumentParser:
             sp.add_argument("--mix", default="C1",
                             help="C1..C12, an LLM mix (kvcache, "
                                  "kvcache-prefill, kvcache-batch, "
-                                 "kvcache-long), or 'gcc-mcf:backprop'")
+                                 "kvcache-long), or a custom "
+                                 "'cpu1-cpu2:gpu' spec, e.g. "
+                                 "'gcc-mcf:backprop'")
 
     def engine_opt(sp):
         sp.add_argument("--engine", choices=list(ENGINES), default="fast",
@@ -715,8 +652,9 @@ def make_parser() -> argparse.ArgumentParser:
         "sweep", help="run a (mixes x designs) grid via the sweep engine")
     common(sp, mix=False)
     engine_opt(sp)
-    sp.add_argument("--mixes", help="comma-separated Table II or LLM mix "
-                                    "names (default: all 12 Table II)")
+    sp.add_argument("--mixes", help="comma-separated mix names: Table II, "
+                                    "LLM or custom 'cpu1-cpu2:gpu' specs "
+                                    "(default: all 12 Table II)")
     sp.add_argument("--designs", help="comma-separated design names "
                                       "(default: the Fig. 5 set)")
     sweep_opts(sp)
@@ -765,21 +703,9 @@ def make_parser() -> argparse.ArgumentParser:
         "lint", help="run the AST invariant linter (docs/analysis.md)")
     sp.add_argument("paths", nargs="*",
                     help="files/directories to lint (default: src)")
-    sp.add_argument("--json", action="store_true",
-                    help="emit a SARIF-shaped JSON report")
     sp.add_argument("--rules", metavar="SPEC",
                     help="comma-separated rule ids/names or the groups "
                          "domain|style|all (default: all)")
-    sp.add_argument("--docs", metavar="PATH",
-                    help="Stats counter registry document "
-                         "(default: docs/telemetry.md if present)")
-    sp.add_argument("--list-rules", action="store_true",
-                    help="list the selected rules and exit")
-    sp.add_argument("--changed", action="store_true",
-                    help="lint only files differing from "
-                         "git merge-base HEAD <base> (plus untracked)")
-    sp.add_argument("--base", default="main", metavar="REF",
-                    help="base ref for --changed (default: main)")
     sp.set_defaults(fn=cmd_lint)
 
     sp = sub.add_parser(
@@ -829,7 +755,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--host", default="127.0.0.1")
     sp.add_argument("--port", type=int, default=DEFAULT_PORT)
     sp.add_argument("--mixes", default="C1",
-                    help="comma-separated Table II or LLM mix names")
+                    help="comma-separated mix names: Table II, LLM or "
+                         "custom 'cpu1-cpu2:gpu' specs")
     sp.add_argument("--designs", help="comma-separated design names "
                                       "(default: the Fig. 5 set)")
     sp.add_argument("--scale", type=float, default=0.05)
@@ -840,9 +767,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--priority", choices=sorted(PRIORITIES),
                     default="batch",
                     help="fair-queue class (weights: docs/service.md)")
-    sp.add_argument("--collect-failures", action="store_true",
-                    help="report failed cells and exit 1 instead of "
-                         "raising on the first one")
     sp.add_argument("--timeout", type=float, default=300.0, metavar="SEC",
                     help="max silence between stream rows (default 300)")
     sp.add_argument("--csv", metavar="PATH",

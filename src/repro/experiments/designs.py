@@ -61,12 +61,17 @@ KVCACHE_DESIGNS = ("kv-windowpin", "kv-layersplit", "kv-tokenlru",
 ALL_DESIGNS = tuple(_REGISTRY)
 
 
+def check_design(name: str) -> None:
+    """Raise ``KeyError`` naming the known designs unless ``name`` is one."""
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown design {name!r}; known: "
+                       f"{', '.join(ALL_DESIGNS)}")
+
+
 def make_policy(name: str) -> PartitionPolicy:
     """A fresh policy instance for a registry name (see ``ALL_DESIGNS``)."""
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise KeyError(f"unknown design {name!r}; known: {ALL_DESIGNS}") from None
+    check_design(name)
+    return _REGISTRY[name]()
 
 
 def design_config(name: str, cfg: SystemConfig,

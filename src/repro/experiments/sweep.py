@@ -54,6 +54,7 @@ from repro.config import SystemConfig, default_system
 from repro.config_io import config_digest
 from repro.engine.simulator import SimResult
 from repro.experiments.cache import SweepCache, resolve_cache
+from repro.experiments.designs import check_design
 from repro.experiments.resilience import (JobFailure, RetryPolicy,
                                           SweepReport, failure_from,
                                           resolve_failure_policy,
@@ -61,8 +62,8 @@ from repro.experiments.resilience import (JobFailure, RetryPolicy,
 from repro.experiments.runner import (run_design, slowdown_metrics,
                                       weighted_speedup)
 from repro.telemetry import NULL_SINK, Telemetry
-from repro.traces.mixes import (CPU_COPIES, WorkloadMix, build_mix, cpu_only,
-                                gpu_only)
+from repro.traces.mixes import (WorkloadMix, build_mix, cpu_only,
+                                fill_copies, gpu_only)
 
 #: Environment default for the worker count (used when ``workers=None``).
 WORKERS_ENV = "REPRO_SWEEP_JOBS"
@@ -93,11 +94,16 @@ def freeze_kw(kw: dict) -> tuple:
 
 @dataclass(frozen=True)
 class MixSpec:
-    """Picklable recipe for a Table II workload mix.
+    """Picklable recipe for a workload mix: any name ``build_mix`` takes
+    (Table II, LLM, or a custom ``"cpu1-cpu2:gpu"`` spec).
 
     Carries its own seed, so every job derived from it is deterministic;
     ``solo`` selects the CPU-only / GPU-only variant used by the Fig. 2
     co-run study.  ``None`` reference counts mean "the library default".
+    Construction checks the name (``KeyError`` naming the known mixes),
+    so a grid with a bad name fails before any cell simulates, and
+    resolves ``cpu_copies=None`` to the copies that fill the 8 CPU cores
+    (2 for every named mix).
     """
 
     name: str
@@ -107,7 +113,12 @@ class MixSpec:
     cpu_refs: int | None = None
     gpu_refs: int | None = None
     footprint_scale: float = 1.0
-    cpu_copies: int = CPU_COPIES
+    cpu_copies: int | None = None
+
+    def __post_init__(self) -> None:
+        copies = fill_copies(self.name)
+        if self.cpu_copies is None:
+            object.__setattr__(self, "cpu_copies", copies)
 
     @property
     def run_name(self) -> str:
@@ -159,6 +170,8 @@ class SweepJob:
     runs of the same cell share one cached result.  A cache *hit* recalls
     the result without re-simulating and therefore writes no trace; pass
     ``cache=None`` (CLI ``--no-cache``) to trace every cell.
+    Construction checks the design name (``KeyError`` naming the known
+    designs).
     """
 
     mix: "MixSpec | WorkloadMix"
@@ -167,6 +180,9 @@ class SweepJob:
     native_geometry: bool = True
     sim_kw: tuple = ()
     trace_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        check_design(self.design)
 
     @property
     def mix_name(self) -> str:

@@ -3,8 +3,8 @@
 A single heavy campaign (hundreds of cells) must not starve an
 interactive ``repro run``-sized request that arrives behind it.  The
 server therefore drains cells through a start-time-fair queue
-(self-clocked fair queueing): each enqueue is tagged with a virtual
-*finish time* — ``max(vtime, last_tag[class]) + size / weight`` — and
+(self-clocked fair queueing): each enqueue (one cell) is tagged with a
+virtual *finish time* — ``max(vtime, last_tag[class]) + 1 / weight`` — and
 :meth:`FairQueue.pop` always yields the smallest tag.  A class with
 weight 4 receives ~4x the service of a weight-1 class under
 contention, and an idle class's backlog never builds credit (its next
@@ -31,10 +31,10 @@ PRIORITIES: dict[str, float] = {"interactive": 4.0, "batch": 1.0}
 class FairQueue:
     """Deterministic weighted-fair (SCFQ) queue over opaque items.
 
-    ``push(item, priority, size)`` tags the item with a virtual finish
-    time; ``pop()`` returns the smallest-tagged item.  ``size`` is the
-    item's service demand (e.g. its cell count) so one 100-cell
-    campaign costs its class as much as a hundred 1-cell ones.
+    ``push(item, priority)`` tags the item with a virtual finish time;
+    ``pop()`` returns the smallest-tagged item.  The server pushes one
+    cell per item, so one 100-cell campaign costs its class as much as
+    a hundred 1-cell ones.
     """
 
     def __init__(self) -> None:
@@ -44,8 +44,7 @@ class FairQueue:
         self._vtime = 0.0
         self._seq = 0
 
-    def push(self, item: Any, priority: str = "batch",
-             size: float = 1.0) -> float:
+    def push(self, item: Any, priority: str = "batch") -> float:
         """Enqueue ``item`` under ``priority``; returns its tag."""
         try:
             weight = PRIORITIES[priority]
@@ -53,10 +52,8 @@ class FairQueue:
             raise ValueError(
                 f"unknown priority {priority!r}; known: "
                 f"{', '.join(sorted(PRIORITIES))}") from None
-        if size <= 0:
-            raise ValueError(f"size must be > 0, got {size}")
         start = max(self._vtime, self._last_tag[priority])
-        tag = start + size / weight
+        tag = start + 1 / weight
         self._last_tag[priority] = tag
         heapq.heappush(self._heap, (tag, self._seq, item, priority))
         self._seq += 1

@@ -167,15 +167,15 @@ class CellRow:
 class CampaignSpec:
     """A client-submitted campaign: a grid of mixes x designs + knobs.
 
-    ``mixes`` are Table II / kvcache family names; the server builds
-    them at ``scale`` / ``seed``.  ``engine`` picks the simulation core
-    (``"batch"`` is accepted as an alias of ``"fast"``, so journals
-    written by earlier servers still replay); ``priority`` selects
-    the fair-queue class (``"interactive"`` outweighs ``"batch"`` —
-    see docs/service.md); ``failures`` is the client-visible policy:
-    the server always runs the engine under ``"collect"`` so a stream
-    completes, and a ``"raise"`` client surfaces the first failure
-    locally instead.
+    ``mixes`` are mix names (Table II, LLM or custom ``"cpu1-cpu2:gpu"``
+    specs); the server builds them at ``scale`` / ``seed``.  ``engine``
+    picks the simulation core (``"batch"`` is accepted as an alias of
+    ``"fast"``, so journals written by earlier servers still replay);
+    ``priority`` selects the fair-queue class (``"interactive"``
+    outweighs ``"batch"`` — see docs/service.md); ``failures`` is the
+    client-visible policy: the server always runs the engine under
+    ``"collect"`` so a stream completes, and a ``"raise"`` client
+    surfaces the first failure locally instead.
     """
 
     mixes: tuple[str, ...]
@@ -192,8 +192,9 @@ class CampaignSpec:
         object.__setattr__(self, "designs", tuple(self.designs))
 
     def validate(self) -> "CampaignSpec":
-        """Structural validation (the server additionally resolves
-        engine and mix names against the live registries)."""
+        """Structural validation (the server additionally checks the
+        engine, mix and design names against the live registries, and
+        rejects a campaign naming an unknown one before journaling it)."""
         if not self.mixes:
             raise SchemaError("CampaignSpec: mixes must be non-empty")
         if not self.designs:

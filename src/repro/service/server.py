@@ -418,22 +418,26 @@ class CampaignServer:
         record is durable *before* any state is built, so a crash at
         any later point can only lose work the journal already names.
         ``job_id`` / ``journal=False`` are the replay path re-admitting
-        an already-journaled campaign under its original id.
+        an already-journaled campaign under its original id.  An unknown
+        engine (``ValueError``) or mix or design name (``KeyError``)
+        raises before anything is journaled or queued.
         """
         resolve_engine(spec.engine)
+        sim_kw = freeze_kw({"engine": spec.engine})
+        mixes = {m: MixSpec(m, scale=spec.scale, seed=spec.seed)
+                 for m in spec.mixes}
+        jobs = [SweepJob(mixes[key.mix], key.design, self.cfg,
+                         spec.native_geometry, sim_kw, None)
+                for key in spec.cells()]
         jid = job_id if job_id is not None else f"job-{next(self._ids)}"
         if journal and self.journal is not None:
             self.journal.campaign(jid, spec.to_json())
         camp = _Campaign(jid, spec, self.cfg)
         self._jobs[camp.job_id] = camp
         self._attach.setdefault(stable_key(spec.to_json()), camp.job_id)
-        sim_kw = freeze_kw({"engine": spec.engine})
         fresh = 0
         shared = 0
-        for key in camp.cells:
-            mix = MixSpec(key.mix, scale=spec.scale, seed=spec.seed)
-            job = SweepJob(mix, key.design, self.cfg,
-                           spec.native_geometry, sim_kw, None)
+        for key, job in zip(camp.cells, jobs):
             digest = stable_key(job.cache_payload())
             cell = self._cells.get(digest)
             if cell is None:
@@ -670,8 +674,9 @@ class CampaignServer:
                 headers={"Retry-After": str(RETRY_AFTER)})
         try:
             camp = self.submit(spec)
-        except ValueError as exc:
-            raise _HttpError(400, str(exc)) from None
+        except (KeyError, ValueError) as exc:
+            # args[0]: a KeyError's str() would quote the message.
+            raise _HttpError(400, exc.args[0]) from None
         await _send_json(writer, 200, camp.status().to_json())
         return 200
 

@@ -1,5 +1,5 @@
 """Synthetic workload substrate: SPEC/Rodinia/BERT-like trace generators,
-the Table II mix builder, persistence, and custom mix specs."""
+the mix builder (Table II, LLM and custom specs) and persistence."""
 
 from repro.traces.base import (Trace, TraceColumns, TraceSpec, characterize,
                                generate_trace)

@@ -1,10 +1,10 @@
-"""Trace persistence and custom mixes.
+"""Trace persistence.
 
 The paper's artifact task T1 generates trace files consumed by the
 simulator; this module is the equivalent: traces serialize to compressed
-``.npz`` files, and arbitrary Table II-style combinations can be written
-as ``"gcc-mcf-lbm-roms:backprop"`` strings, so users are not limited to
-the 12 published mixes.
+``.npz`` files, one per agent of a mix (any mix name
+:func:`~repro.traces.mixes.build_mix` takes, custom
+``"gcc-mcf-lbm-roms:backprop"`` specs included).
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.traces.base import Trace, generate_trace
-from repro.traces.cpu import cpu_spec
-from repro.traces.gpu import gpu_spec
-from repro.traces.mixes import CPU_COPIES, WorkloadMix, align_region
+from repro.traces.base import Trace
+from repro.traces.mixes import WorkloadMix
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -60,45 +58,3 @@ def load_mix(name: str, directory: str | Path) -> WorkloadMix:
         raise FileNotFoundError(f"no traces for mix {name!r} in {directory}")
     return WorkloadMix(name, tuple(load_trace(p) for p in cpu),
                        tuple(load_trace(p) for p in gpu))
-
-
-def parse_mix_spec(spec: str) -> tuple[tuple[str, ...], str]:
-    """Parse ``"gcc-mcf-lbm-roms:backprop"`` into (cpu names, gpu name)."""
-    try:
-        cpu_part, gpu_name = spec.split(":")
-    except ValueError:
-        raise ValueError(
-            f"mix spec {spec!r} must look like 'cpu1-cpu2-...:gpu'") from None
-    cpu_names = tuple(n for n in cpu_part.split("-") if n)
-    if not cpu_names or not gpu_name:
-        raise ValueError(f"mix spec {spec!r} needs CPU and GPU workloads")
-    return cpu_names, gpu_name
-
-
-def build_custom_mix(spec: str, *, cpu_refs: int = 15_000,
-                     gpu_refs: int = 150_000, seed: int = 7,
-                     scale: float = 1.0,
-                     cpu_copies: int | None = None) -> WorkloadMix:
-    """Build a mix from a spec string, with the Table II conventions.
-
-    With the default ``cpu_copies=None`` the copies are chosen to fill the
-    8 CPU cores (e.g. 4 workloads -> 2 copies, 2 workloads -> 4 copies).
-    """
-    cpu_names, gpu_name = parse_mix_spec(spec)
-    if cpu_copies is None:
-        cpu_copies = max(1, (4 * CPU_COPIES) // len(cpu_names))
-    traces = []
-    base = 0
-    agent_seed = seed * 1000 + 7919
-    for wname in cpu_names:
-        s = cpu_spec(wname)
-        for _ in range(cpu_copies):
-            tr = generate_trace(s, max(1000, int(cpu_refs * scale)),
-                                seed=agent_seed, base=base)
-            traces.append(tr)
-            base += align_region(s.footprint)
-            agent_seed += 1
-    g = gpu_spec(gpu_name)
-    gtr = generate_trace(g, max(500, int(gpu_refs * scale)),
-                         seed=agent_seed, base=base)
-    return WorkloadMix(spec, tuple(traces), (gtr,))

@@ -30,8 +30,9 @@ Address map (the contract the layer-aware policies in
 is ``token_bytes`` (default 256 B — exactly one migration block, so
 Hydrogen's migration-token throttling literally meters tokens), layers
 are laid out back-to-back inside a request, requests back-to-back inside
-the GPU region, and :func:`build_llm_mix` aligns the region base to the
-request stride, so ``layer = addr // layer_bytes % n_layers`` and
+the GPU region, and :func:`~repro.traces.mixes.build_mix` aligns the
+region base to the request stride, so
+``layer = addr // layer_bytes % n_layers`` and
 ``token = addr // token_bytes % capacity_tokens`` hold globally.
 """
 
@@ -42,8 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.config import CACHELINE
-from repro.traces.base import Trace, generate_trace
-from repro.traces.cpu import cpu_spec
+from repro.traces.base import Trace
 
 
 @dataclass(frozen=True)
@@ -240,43 +240,15 @@ LLM_MIXES: dict[str, tuple[tuple[str, str, str, str], str]] = {
 LLM_MIX_NAMES = tuple(LLM_MIXES)
 
 
-def build_llm_mix(name: str, *, cpu_refs: int = 15_000,
-                  gpu_refs: int = 150_000, seed: int = 7, scale: float = 1.0,
-                  footprint_scale: float = 1.0,
-                  cpu_copies: int | None = None):
+def build_llm_mix(name: str, **kw):
     """Generate all traces for LLM mix ``name``.
 
-    Mirrors :func:`repro.traces.mixes.build_mix` (same knobs, same
-    region layout, same seed-stream discipline), which dispatches here
-    for these names — so the api/CLI/sweep machinery needs no new entry
-    point.  The KV region base is aligned to the request stride so the
-    layer/token address arithmetic documented in the module docstring
-    holds for every request.
+    :func:`repro.traces.mixes.build_mix` (same knobs, same region
+    layout, same seed-stream discipline) restricted to this family's
+    names; ``build_mix`` takes them too, so the api/CLI/sweep machinery
+    needs no entry point of its own.
     """
-    from repro.traces.mixes import CPU_COPIES, WorkloadMix, align_region
-
     if name not in LLM_MIXES:
         raise KeyError(f"unknown LLM mix {name!r}; known: {LLM_MIX_NAMES}")
-    if cpu_copies is None:
-        cpu_copies = CPU_COPIES
-    cpu_names, llm_name = LLM_MIXES[name]
-
-    cpu_traces = []
-    base = 0
-    # Disjoint from the C1-C12 seed streams (offsets 1..21 at seed*1000).
-    agent_seed = seed * 1000 + 100 + LLM_MIX_NAMES.index(name) * 20
-    for wname in cpu_names:
-        spec = cpu_spec(wname).scaled(footprint_scale)
-        for _copy in range(cpu_copies):
-            n = max(1000, int(cpu_refs * scale))
-            cpu_traces.append(generate_trace(spec, n, seed=agent_seed,
-                                             base=base))
-            base += align_region(spec.footprint)
-            agent_seed += 1
-
-    lspec = llm_spec(llm_name).scaled(footprint_scale)
-    stride = lspec.request_bytes
-    base = (base + stride - 1) // stride * stride
-    gtr = generate_kvcache_trace(lspec, max(500, int(gpu_refs * scale)),
-                                 seed=agent_seed, base=base)
-    return WorkloadMix(name, tuple(cpu_traces), (gtr,))
+    from repro.traces.mixes import build_mix
+    return build_mix(name, **kw)

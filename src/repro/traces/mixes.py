@@ -1,10 +1,13 @@
-"""Workload combinations C1-C12 (paper Table II) and trace assembly.
+"""Workload mixes and trace assembly.
 
-Each combination runs four CPU workloads in SPEC "rate mode" with two
-copies each (filling the 8 CPU cores) plus one GPU workload.  Address
-regions are laid out back-to-back so every agent owns a disjoint part of
-the physical address space, exactly like separate processes under a
-first-touch allocator.
+A mix name is a paper Table II combination (C1-C12), an LLM mix of
+:mod:`repro.traces.llm` (``kvcache``, ...), or a custom
+``"cpu1-cpu2-...:gpu"`` spec such as ``"gcc-xz:lud"``.  Each runs its
+CPU workloads in SPEC "rate mode", with enough copies of each to fill
+the 8 CPU cores (Table II's four workloads run two copies each), plus
+one GPU workload.  Address regions are laid out back-to-back so every
+agent owns a disjoint part of the physical address space, exactly like
+separate processes under a first-touch allocator.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from repro.config import MB
 from repro.traces.base import Trace, generate_trace
 from repro.traces.cpu import cpu_spec
 from repro.traces.gpu import gpu_spec
+from repro.traces.llm import (LLM_MIX_NAMES, LLM_MIXES,
+                              generate_kvcache_trace, llm_spec)
 
 #: Paper Table II.
 MIXES: dict[str, tuple[tuple[str, str, str, str], str]] = {
@@ -60,36 +65,61 @@ def align_region(footprint: int) -> int:
     return (footprint + MB - 1) // MB * MB
 
 
+def mix_recipe(name: str) -> tuple[tuple[str, ...], str, int]:
+    """(CPU workloads, GPU workload, seed salt) of a mix name.
+
+    The salt offsets the mix's per-agent seed stream so the families
+    never share one: a Table II name uses its number, an LLM mix
+    ``100 + 20 * index`` and a custom spec 7919.  Raises ``KeyError``
+    naming the known mixes (or the unknown workload of a custom spec).
+    """
+    if name in MIXES:
+        cpu_names, gpu_name = MIXES[name]
+        return cpu_names, gpu_name, int(name[1:])
+    if name in LLM_MIXES:
+        cpu_names, gpu_name = LLM_MIXES[name]
+        return cpu_names, gpu_name, 100 + 20 * LLM_MIX_NAMES.index(name)
+    cpu_part, colon, gpu_name = name.partition(":")
+    cpu_names = tuple(n for n in cpu_part.split("-") if n)
+    if not (colon and cpu_names and gpu_name):
+        raise KeyError(f"unknown mix {name!r}; known: Table II "
+                       f"{', '.join(MIXES)}, LLM mixes "
+                       f"{', '.join(LLM_MIX_NAMES)}, or a custom "
+                       f"'cpu1-cpu2:gpu' spec")
+    for wname in cpu_names:
+        cpu_spec(wname)
+    gpu_spec(gpu_name)
+    return cpu_names, gpu_name, 7919
+
+
+def fill_copies(name: str) -> int:
+    """Copies per CPU workload that fill the 8 CPU cores for mix
+    ``name`` (``CPU_COPIES`` for every Table II and LLM mix); raises
+    ``KeyError`` like :func:`mix_recipe`."""
+    return max(1, 4 * CPU_COPIES // len(mix_recipe(name)[0]))
+
+
 def build_mix(name: str, *, cpu_refs: int = 15_000, gpu_refs: int = 150_000,
               seed: int = 7, scale: float = 1.0, footprint_scale: float = 1.0,
-              cpu_copies: int = CPU_COPIES) -> WorkloadMix:
-    """Generate all traces for combination ``name``.
+              cpu_copies: int | None = None) -> WorkloadMix:
+    """Generate all traces for mix ``name`` (see :func:`mix_recipe`).
 
     ``scale`` multiplies reference counts only (run time vs statistical
     quality); ``footprint_scale`` separately scales working-set sizes (used
     by capacity-pressure sweeps).  Keeping the two independent preserves the
-    memory-pressure ratios the paper's results depend on.
-
-    LLM mix names (``kvcache``, ...) dispatch to
-    :func:`repro.traces.llm.build_llm_mix` with the same knobs, so every
-    name-based entry point (api, CLI, sweep specs, cache keys) accepts
-    both families uniformly.
+    memory-pressure ratios the paper's results depend on.  ``cpu_copies``
+    defaults to :func:`fill_copies`.  An LLM mix's GPU side is a KV-cache
+    stream whose region base is aligned to the request stride, so the
+    layer/token address arithmetic of :mod:`repro.traces.llm` holds.
     """
-    if name not in MIXES:
-        from repro.traces.llm import LLM_MIXES, build_llm_mix
-        if name in LLM_MIXES:
-            return build_llm_mix(name, cpu_refs=cpu_refs, gpu_refs=gpu_refs,
-                                 seed=seed, scale=scale,
-                                 footprint_scale=footprint_scale,
-                                 cpu_copies=cpu_copies)
-        raise KeyError(f"unknown mix {name!r}; known: {sorted(MIXES)} "
-                       f"+ LLM mixes {sorted(LLM_MIXES)}")
-    cpu_names, gpu_name = MIXES[name]
+    cpu_names, gpu_name, salt = mix_recipe(name)
+    if cpu_copies is None:
+        cpu_copies = fill_copies(name)
 
     cpu_traces: list[Trace] = []
     base = 0
     # Deterministic per-mix seed stream (avoid hash(): it is salted per run).
-    agent_seed = seed * 1000 + (int(name[1:]) if name[1:].isdigit() else 0)
+    agent_seed = seed * 1000 + salt
     for wname in cpu_names:
         spec = cpu_spec(wname).scaled(footprint_scale)
         for copy in range(cpu_copies):
@@ -99,9 +129,16 @@ def build_mix(name: str, *, cpu_refs: int = 15_000, gpu_refs: int = 150_000,
             base += align_region(spec.footprint)
             agent_seed += 1
 
-    gspec = gpu_spec(gpu_name).scaled(footprint_scale)
-    gtr = generate_trace(gspec, max(500, int(gpu_refs * scale)),
-                         seed=agent_seed, base=base)
+    n_gpu = max(500, int(gpu_refs * scale))
+    if name in LLM_MIXES:
+        lspec = llm_spec(gpu_name).scaled(footprint_scale)
+        stride = lspec.request_bytes
+        base = (base + stride - 1) // stride * stride
+        gtr = generate_kvcache_trace(lspec, n_gpu, seed=agent_seed,
+                                     base=base)
+    else:
+        gtr = generate_trace(gpu_spec(gpu_name).scaled(footprint_scale),
+                             n_gpu, seed=agent_seed, base=base)
     return WorkloadMix(name, tuple(cpu_traces), (gtr,))
 
 

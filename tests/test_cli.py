@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main, make_parser
+from repro.experiments import runner
 
 
 def run_cli(capsys, *argv):
@@ -132,21 +133,56 @@ def test_sweep_unknown_mix(capsys):
 
 
 def test_compare_then_sweep_simulates_nothing(capsys, tmp_path):
-    """`compare` keys a named mix's cells like `sweep` does, so a sweep
-    over the same cache directory recalls every cell."""
-    shared = ("--scale", "0.02", "--cache-dir", str(tmp_path / "cache"))
-    code, _ = run_cli(capsys, "compare", "--mix", "C1", "--designs",
-                      "waypart", *shared)
-    assert code == 0
-    code, out = run_cli(capsys, "sweep", "--mixes", "C1", "--designs",
-                        "waypart", *shared)
-    assert code == 0
-    assert "2 cache hits (100%)" in out and "0 simulated" in out
+    """`compare` keys a mix's cells like `sweep` does, so a sweep over
+    the same cache directory recalls every cell — for a Table II name
+    and for a custom spec alike."""
+    for mix in ("C1", "gcc-xz:lud"):
+        shared = ("--scale", "0.02", "--cache-dir", str(tmp_path / mix))
+        code, _ = run_cli(capsys, "compare", "--mix", mix, "--designs",
+                          "waypart", *shared)
+        assert code == 0
+        code, out = run_cli(capsys, "sweep", "--mixes", mix, "--designs",
+                            "waypart", *shared)
+        assert code == 0
+        assert "2 cache hits (100%)" in out and "0 simulated" in out, mix
 
 
 def test_compare_unknown_mix(capsys):
     with pytest.raises(SystemExit, match="unknown mix 'C99'"):
         main(["compare", "--mix", "C99"])
+
+
+#: Every command taking mix or design names, given one unknown name:
+#: (argv, what the message names, a known name it must list).
+UNKNOWN_NAME_CASES = [
+    *(((cmd, "--mix", "C99"), "unknown mix 'C99'", "kvcache")
+      for cmd in ("run", "trace", "traces", "sanitize", "compare")),
+    (("sweep", "--mixes", "C1,C99"), "unknown mix 'C99'", "kvcache"),
+    *(((cmd, "--mix", "C1", "--designs", "hydrogen,nosuch"),
+       "unknown design 'nosuch'", "waypart")
+      for cmd in ("compare", "sanitize")),
+    (("sweep", "--mixes", "C1", "--designs", "hydrogen,nosuch"),
+     "unknown design 'nosuch'", "waypart"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, unknown, known", UNKNOWN_NAME_CASES,
+    ids=[f"{argv[0]}-{unknown.split()[1]}"
+         for argv, unknown, _ in UNKNOWN_NAME_CASES])
+def test_unknown_name_is_one_usage_line_before_any_cell(
+        argv, unknown, known, monkeypatch, tmp_path):
+    def simulate(*args, **kw):
+        raise AssertionError("a cell simulated before the name check")
+
+    monkeypatch.setattr(runner, "simulate", simulate)
+    monkeypatch.chdir(tmp_path)           # `traces` writes, sweep caches
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--scale", "0.02"])
+    msg = str(exc.value.code)
+    assert msg.startswith(f"repro {argv[0]}: {unknown}; known: "), msg
+    assert known in msg and "\n" not in msg
 
 
 def test_traces_command(capsys, tmp_path):

@@ -410,6 +410,25 @@ def test_restart_keeps_row_order_whichever_store_holds_results(tmp_path,
         assert list(client.stream(job_id)) == rows
 
 
+@pytest.mark.parametrize("field, unknown, known", [
+    ("mixes", "unknown mix 'C99'", "kvcache"),
+    ("designs", "unknown design 'nosuch'", "waypart")])
+def test_unknown_names_get_a_400_and_are_never_journaled(tmp_path, field,
+                                                        unknown, known):
+    bad = {"mixes": ("C1",), "designs": ("waypart",),
+           field: (unknown.split("'")[1],)}
+    with serve_in_thread(port=0, workers=1,
+                         journal=tmp_path / "journal") as handle:
+        client = ServiceClient(handle.host, handle.port, retry=None)
+        with pytest.raises(ServiceError, match=unknown) as exc:
+            client.submit(CampaignSpec(**bad, **TINY))
+        assert exc.value.status == 400 and known in str(exc.value)
+        assert handle.server.engine.stats.submitted == 0
+        assert client.health()["jobs"] == 0
+    records = Journal(tmp_path / "journal").replay()
+    assert [r for r in records if r["type"] == "campaign"] == []
+
+
 def test_journal_store_backs_a_server_with_caching_off(tmp_path):
     with serve_in_thread(port=0, workers=1, journal=tmp_path / "journal",
                          cache=False) as handle:

@@ -5,9 +5,8 @@ import pytest
 
 from repro.traces.base import generate_trace
 from repro.traces.cpu import cpu_spec
-from repro.traces.io import (build_custom_mix, load_mix, load_trace,
-                             parse_mix_spec, save_mix, save_trace)
-from repro.traces.mixes import build_mix
+from repro.traces.io import load_mix, load_trace, save_mix, save_trace
+from repro.traces.mixes import build_mix, mix_recipe
 
 
 def test_trace_roundtrip(tmp_path):
@@ -37,15 +36,16 @@ def test_load_missing_mix(tmp_path):
 
 
 def test_parse_mix_spec():
-    assert parse_mix_spec("gcc-mcf:backprop") == (("gcc", "mcf"), "backprop")
-    with pytest.raises(ValueError):
-        parse_mix_spec("gcc-mcf")
-    with pytest.raises(ValueError):
-        parse_mix_spec(":backprop")
+    assert mix_recipe("gcc-mcf:backprop") == (("gcc", "mcf"), "backprop",
+                                              7919)
+    with pytest.raises(KeyError, match="unknown mix 'gcc-mcf'"):
+        mix_recipe("gcc-mcf")
+    with pytest.raises(KeyError, match="unknown mix ':backprop'"):
+        mix_recipe(":backprop")
 
 
 def test_build_custom_mix_copies():
-    mix = build_custom_mix("gcc-mcf:bert", cpu_refs=400, gpu_refs=800)
+    mix = build_mix("gcc-mcf:bert", cpu_refs=400, gpu_refs=800)
     # 2 workloads -> 4 copies each to fill 8 cores.
     assert len(mix.cpu_traces) == 8
     assert mix.gpu_traces[0].name == "bert"
@@ -54,11 +54,11 @@ def test_build_custom_mix_copies():
 
 def test_build_custom_mix_unknown_workload():
     with pytest.raises(KeyError):
-        build_custom_mix("gcc-doom:bert", cpu_refs=100, gpu_refs=100)
+        build_mix("gcc-doom:bert", cpu_refs=100, gpu_refs=100)
 
 
 def test_custom_mix_regions_disjoint():
-    mix = build_custom_mix("lbm-xz-roms:srad", cpu_refs=300, gpu_refs=300)
+    mix = build_mix("lbm-xz-roms:srad", cpu_refs=300, gpu_refs=300)
     ranges = []
     for t in mix.traces:
         lo, hi = int(t.addrs.min()), int(t.addrs.max())

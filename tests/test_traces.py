@@ -1,5 +1,7 @@
 """Tests for synthetic trace generation (Table II substitution)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,39 @@ def test_cpu_only_gpu_only():
 def test_unknown_mix_raises():
     with pytest.raises(KeyError):
         build_mix("C99")
+
+
+#: SHA-256 over every trace of a mix (name, class, base, footprint and
+#: the address/write/gap columns) at seed 7, scale 0.02: two Table II
+#: mixes, two LLM mixes, and custom specs of one to four CPU workloads.
+#: One builder serves all three families, so a change to it that moves
+#: any family's traces (and every cached cell keyed on them) fails here.
+MIX_DIGESTS = {
+    "C1": "06b168486c6aee170b53cd32c1d0f74b6e5f78ff41e433539916fd9c31f92b1d",
+    "C5": "fc04d0d0f3d7b7f2a931a1002672b89e1a32f17a692a13eb6c235d0ce1ac1f68",
+    "kvcache":
+        "280126e47edef87a6ee73c899db06383076ffb020099fb3400525f90e928e48d",
+    "kvcache-batch":
+        "27732eaba21adbce26b0aa51638b5e6330ec16eb631dd3272f48cdcab62ea306",
+    "xz:bert":
+        "2289d64caf6b1e56d0604f6ee69aafa357f9c1b78663728d75cee93f3f2dccb7",
+    "gcc-xz:lud":
+        "0668b6130e6789afc3cde68583070697c9574bccc4975c9f032ca4403d59e672",
+    "gcc-mcf-lbm:backprop":
+        "586777fafca7492308773f2fae14d160dc3dc9406e16bc13d78fa21a00f3b6ca",
+    "gcc-mcf-lbm-roms:backprop":
+        "8e9172d59d15d3b2d88b94e49aadb04bf23f889a6d215c2edb9fc9994a6511cf",
+}
+
+
+@pytest.mark.parametrize("name", MIX_DIGESTS)
+def test_mix_traces_match_their_pinned_digest(name):
+    h = hashlib.sha256()
+    for tr in build_mix(name, seed=7, scale=0.02).traces:
+        h.update(f"{tr.name}|{tr.klass}|{tr.base}|{tr.footprint}|".encode())
+        for column in (tr.addrs, tr.writes, tr.gaps):
+            h.update(column.tobytes())
+    assert h.hexdigest() == MIX_DIGESTS[name]
 
 
 @settings(max_examples=20, deadline=None)
