@@ -27,8 +27,7 @@ from repro.experiments.runner import (ComboResult, env_scale, geomean,
                                       run_design)
 from repro.experiments.resilience import (JobFailure, RetryPolicy,
                                           SweepReport)
-from repro.experiments.sweep import (SweepEngine, SweepStats, corun_grid,
-                                     sweep_grid)
+from repro.experiments.sweep import SweepEngine, corun_grid, sweep_grid
 from repro.service.schema import CellRow
 from repro.traces.mixes import WorkloadMix, build_mix
 
@@ -105,22 +104,21 @@ class SweepResult:
     """Typed result of :func:`sweep`: the full (design x mix) grid.
 
     ``grid`` maps ``design -> {mix_name -> ComboResult}`` with
-    ``"baseline"`` first; ``stats`` carries the engine's cache/parallel
-    counters for reporting.
+    ``"baseline"`` first; ``report`` is the engine's
+    :class:`~repro.experiments.resilience.SweepReport` for the grid: its
+    cache and job counters, and the per-job failure records when
+    ``failures="collect"`` let the sweep outlive failing cells.
     """
 
     grid: dict[str, dict[str, ComboResult]]
     mixes: tuple[str, ...]
     designs: tuple[str, ...]
-    stats: SweepStats
-    #: Per-job failure records when ``failures="collect"`` let the sweep
-    #: outlive failing cells (empty on a fully successful run).
-    failures: tuple[JobFailure, ...] = ()
+    report: SweepReport
 
     @property
     def ok(self) -> bool:
         """True when every cell of the grid simulated successfully."""
-        return not self.failures
+        return self.report.ok
 
     def geomean_speedups(self) -> dict[str, float]:
         """Per-design geometric-mean weighted speedup across the mixes."""
@@ -146,7 +144,7 @@ def sweep(*, mixes, designs: tuple[str, ...] = FIG5_DESIGNS,
           cache=None, progress=None, trace_dir: str | None = None,
           retry: "RetryPolicy | int | None" = None,
           job_timeout: float | None = None, failures: str = "raise",
-          sweep_telemetry=None, **sim_kw) -> SweepResult:
+          **sim_kw) -> SweepResult:
     """Baseline + ``designs`` on every mix, as one batched grid.
 
     Mixes are names, :class:`~repro.experiments.sweep.MixSpec` recipes
@@ -160,23 +158,20 @@ def sweep(*, mixes, designs: tuple[str, ...] = FIG5_DESIGNS,
     Resilience (docs/robustness.md): ``retry`` re-runs failed cells
     (an int retry count or a :class:`RetryPolicy`), ``job_timeout``
     bounds each cell's wall clock, and ``failures="collect"`` records
-    unrecoverable cells on ``SweepResult.failures`` instead of aborting
-    the grid.  ``sweep_telemetry`` receives the engine's ``sweep.*``
-    recovery events (distinct from per-cell simulation telemetry).
+    unrecoverable cells on ``SweepResult.report.failures`` instead of
+    aborting the grid.
     """
     resolve_engine(engine)
     runner = SweepEngine(workers=jobs, cache=cache, progress=progress,
                          retry=retry, job_timeout=job_timeout,
-                         failures=failures, telemetry=sweep_telemetry)
+                         failures=failures)
     grid = sweep_grid(list(mixes), tuple(designs), cfg,
                       scale=_resolve_scale(scale), seed=seed,
                       native_geometry=native_geometry, runner=runner,
                       trace_dir=trace_dir, engine=engine, **sim_kw)
     first = next(iter(grid.values()), {})
-    report = runner.report
-    return SweepResult(grid=grid, mixes=tuple(first),
-                       designs=tuple(grid), stats=runner.stats,
-                       failures=report.failures if report else ())
+    return SweepResult(grid=grid, mixes=tuple(first), designs=tuple(grid),
+                       report=runner.report)
 
 
 def compare(*, mix: str | WorkloadMix, designs: tuple[str, ...],

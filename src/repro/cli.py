@@ -34,6 +34,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from repro import api, faults
 from repro.analysis import default_rules, rules_by_id, run_rules
@@ -45,8 +46,8 @@ from repro.experiments.cache import SweepCache, resolve_cache
 from repro.experiments.designs import (ALL_DESIGNS, FIG5_DESIGNS,
                                        check_design)
 from repro.experiments.report import (PERF_HEADERS, epoch_table,
-                                      format_events, format_sweep_stats,
-                                      format_table, perf_csv_rows, to_csv)
+                                      format_events, format_table,
+                                      perf_csv_rows, to_csv)
 from repro.experiments.runner import geomean, weighted_speedup
 from repro.experiments.sweep import MixSpec, SweepEngine
 from repro.service.queue import PRIORITIES
@@ -59,32 +60,49 @@ from repro.traces.llm import LLM_MIX_NAMES, LLM_SPECS
 from repro.traces.mixes import ALL_MIXES
 
 
+def _usage_error(args, message: str) -> NoReturn:
+    """Exit 2, the status argparse gives a usage error, after one
+    ``repro <cmd>: <message>`` line on stderr; 1 stays the status of
+    lint findings, failed cells and service errors."""
+    print(f"repro {args.command}: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_cfg(args) -> "SystemConfig":
-    cfg = config_from_json(args.config) if getattr(args, "config", None) \
-        else default_system()
-    if getattr(args, "hbm3", False):
-        cfg = cfg.with_fast(hbm3())
-    overrides = {}
-    for item in getattr(args, "set", None) or []:
-        key, _, value = item.partition("=")
-        if not _:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
-        overrides[key] = json.loads(value)
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg
+    """The system config from ``--config``, ``--hbm3`` and ``--set``; a
+    missing file, an unknown key or an invalid value is a usage error."""
+    try:
+        cfg = config_from_json(args.config) if args.config \
+            else default_system()
+        if args.hbm3:
+            cfg = cfg.with_fast(hbm3())
+        overrides = {}
+        for item in args.set or []:
+            key, eq, value = item.partition("=")
+            if not eq:
+                raise ValueError(f"--set expects key=value, got {item!r}")
+            try:
+                overrides[key] = json.loads(value)
+            except ValueError:
+                raise ValueError(f"--set {item}: the value is not "
+                                 f"JSON") from None
+        return apply_overrides(cfg, overrides) if overrides else cfg
+    except (OSError, KeyError, ValueError) as exc:
+        # str() of a KeyError quotes its message.
+        _usage_error(args, exc.args[0] if isinstance(exc, KeyError)
+                     else str(exc))
 
 
 def _mix_specs(args, mixes, designs=()) -> list[MixSpec]:
     """Recipes for ``mixes`` at ``--scale``/``--seed``, every mix and
-    design name checked first: an unknown one exits with a one-line
-    message naming the known ones, before anything simulates."""
+    design name checked first: an unknown one is a usage error naming
+    the known ones, raised before anything simulates."""
     try:
         for design in designs:
             check_design(design)
         return [MixSpec(m, scale=args.scale, seed=args.seed) for m in mixes]
     except KeyError as exc:
-        raise SystemExit(f"repro {args.command}: {exc.args[0]}") from None
+        _usage_error(args, exc.args[0])
 
 
 def _build_mix(args):
@@ -93,21 +111,34 @@ def _build_mix(args):
 
 def _resolve_cli_cache(args, *, default_on: bool):
     """Cache setting from --no-cache / --cache / --cache-dir flags."""
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         return args.cache_dir
-    if getattr(args, "cache", False) or default_on:
+    if args.cache or default_on:
         return True
     return None
 
 
-def _resilience_kwargs(args) -> dict:
-    """retry/timeout/failure-policy kwargs from the resilience flags."""
-    return {"retry": getattr(args, "retries", None),
-            "job_timeout": getattr(args, "timeout", None),
-            "failures": ("collect" if getattr(args, "collect_failures",
-                                              False) else "raise")}
+def _run_grid(args, specs, designs, cache, progress=None):
+    """``api.sweep`` of ``specs`` x ``designs`` for ``compare`` and
+    ``sweep``: their config, engine and resilience flags, under the
+    ``--faults`` plan while it runs."""
+    cfg = _load_cfg(args)
+    try:
+        prev = faults.install(args.faults) if args.faults else None
+    except faults.FaultSpecError as exc:
+        _usage_error(args, f"--faults: {exc}")
+    try:
+        return api.sweep(
+            mixes=specs, designs=designs, cfg=cfg, engine=args.engine,
+            scale=args.scale, seed=args.seed, jobs=args.jobs, cache=cache,
+            progress=progress, trace_dir=args.trace, retry=args.retries,
+            job_timeout=args.timeout,
+            failures="collect" if args.collect_failures else "raise")
+    finally:
+        if args.faults:
+            faults.install(prev)
 
 
 def _print_failures(failures) -> None:
@@ -121,7 +152,7 @@ def cmd_run(args) -> int:
     mix = _build_mix(args)
     sim_kw = {}
     sink = None
-    if getattr(args, "trace", None):
+    if args.trace:
         sink = JsonlSink(args.trace, meta={"design": args.design,
                                            "mix": mix.name,
                                            "seed": args.seed})
@@ -146,22 +177,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
     designs = tuple(args.designs.split(",")) if args.designs else FIG5_DESIGNS
-    _mix_specs(args, [args.mix], designs)
-    prev = faults.install(args.faults) if getattr(args, "faults", None) \
-        else None
-    try:
-        # By name, so its cells are shared with `sweep`.
-        out = api.compare(mix=args.mix, designs=designs, cfg=cfg,
-                          scale=args.scale, seed=args.seed,
-                          engine=args.engine, jobs=args.jobs,
-                          cache=_resolve_cli_cache(args, default_on=False),
-                          trace_dir=getattr(args, "trace", None),
-                          **_resilience_kwargs(args))
-    finally:
-        if getattr(args, "faults", None):
-            faults.install(prev)
+    # One-mix sweep, so its cells are shared with `sweep`.
+    res = _run_grid(args, _mix_specs(args, [args.mix], designs), designs,
+                    _resolve_cli_cache(args, default_on=False))
+    out = {design: combo for design, by_mix in res.grid.items()
+           for combo in by_mix.values()}
     rows = [[name, c.weighted_speedup, c.speedup_cpu, c.speedup_gpu,
              c.result.hit_rate("cpu"), c.result.hit_rate("gpu")]
             for name, c in out.items()]
@@ -170,14 +191,14 @@ def cmd_compare(args) -> int:
     missing = [d for d in ("baseline",) + designs if d not in out]
     if missing:
         print(f"missing (failed) designs: {', '.join(missing)}")
-        return 1
-    return 0
+    _print_failures(res.report.failures)
+    return 1 if missing else 0
 
 
 def cmd_sweep(args) -> int:
     """Run a (mixes x designs) grid through the sweep engine (cached by
-    default) and print the Fig. 5-style table plus sweep statistics."""
-    if getattr(args, "chaos", None) is not None:
+    default) and print the Fig. 5-style table plus the run's report."""
+    if args.chaos is not None:
         return _run_chaos(args)
     cache = resolve_cache(_resolve_cli_cache(args, default_on=True))
     if args.clear_cache:
@@ -188,21 +209,8 @@ def cmd_sweep(args) -> int:
 
     mixes = args.mixes.split(",") if args.mixes else list(ALL_MIXES)
     designs = tuple(args.designs.split(",")) if args.designs else FIG5_DESIGNS
-    specs = _mix_specs(args, mixes, designs)
-    cfg = _load_cfg(args)
-
-    prev = faults.install(args.faults) if getattr(args, "faults", None) \
-        else None
-    try:
-        res = api.sweep(mixes=specs, designs=designs, cfg=cfg,
-                        engine=args.engine, jobs=args.jobs, cache=cache,
-                        progress=None if args.quiet else print,
-                        trace_dir=getattr(args, "trace", None),
-                        **_resilience_kwargs(args))
-    finally:
-        if getattr(args, "faults", None):
-            faults.install(prev)
-
+    res = _run_grid(args, _mix_specs(args, mixes, designs), designs, cache,
+                    progress=None if args.quiet else print)
     results = res.grid
 
     def cell(design: str, mix_name: str) -> float:
@@ -217,11 +225,9 @@ def cmd_sweep(args) -> int:
     if args.csv:
         to_csv(PERF_HEADERS, perf_csv_rows(results), args.csv)
         print(f"perf rows written to {args.csv}")
-    print(format_sweep_stats(res.stats))
-    if res.failures:
-        _print_failures(res.failures)
-        return 1
-    return 0
+    print(res.report.summary())
+    _print_failures(res.report.failures)
+    return 0 if res.ok else 1
 
 
 #: Fault plan used by ``repro sweep --chaos`` when no spec is given:
@@ -256,10 +262,12 @@ def _run_chaos(args) -> int:
     jobs = args.jobs if args.jobs is not None else 2
     say = None if args.quiet else print
     retry = RetryPolicy(max_attempts=4, backoff_base=0.01)
-    rec = EpochRecorder()
 
+    try:
+        prev = faults.install(args.chaos)
+    except faults.FaultSpecError as exc:
+        _usage_error(args, f"--chaos: {exc}")
     env_prev = os.environ.pop(faults.FAULTS_ENV, None)
-    prev = faults.install(args.chaos)
     try:
         print(f"chaos: injecting {faults.active().describe()}")
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as chaos_dir:
@@ -267,7 +275,7 @@ def _run_chaos(args) -> int:
                                 engine=args.engine, jobs=jobs,
                                 cache=chaos_dir, progress=say, retry=retry,
                                 job_timeout=args.timeout,
-                                failures="collect", sweep_telemetry=rec)
+                                failures="collect")
             faults.install(None)
             # Resume against the survived cache: torn entries must be
             # quarantined and re-simulated, not returned half-read.
@@ -281,21 +289,18 @@ def _run_chaos(args) -> int:
         if env_prev is not None:
             os.environ[faults.FAULTS_ENV] = env_prev
 
-    n_retry = len(rec.events_of("sweep.retry"))
-    n_restart = len(rec.events_of("sweep.pool_restart"))
-    n_degraded = len(rec.events_of("sweep.degraded"))
-    recovered = n_retry + n_restart + n_degraded
+    rep = chaotic.report
     identical = chaotic.grid == clean.grid and resumed.grid == clean.grid
-    print(f"chaos: {n_retry} retries, {n_restart} pool restart(s), "
-          f"{n_degraded} degradation(s), {len(chaotic.failures)} lost "
-          f"job(s); bit-identical to clean run: {identical}")
-    if chaotic.failures:
-        _print_failures(chaotic.failures)
-    if not recovered:
+    print(f"chaos: {rep.retries} retries, {rep.pool_restarts} pool "
+          f"restart(s), {int(rep.degraded)} degradation(s), "
+          f"{len(rep.failures)} lost job(s); bit-identical to clean run: "
+          f"{identical}")
+    _print_failures(rep.failures)
+    if not (rep.retries or rep.pool_restarts or rep.degraded):
         print("chaos: no recovery path fired — the fault spec selected "
               "nothing; tune rates/seed")
         return 1
-    return 0 if identical and not chaotic.failures else 1
+    return 0 if identical and rep.ok else 1
 
 
 def cmd_trace(args) -> int:
@@ -371,8 +376,8 @@ FIG_DRIVERS = {
 def cmd_fig(args) -> int:
     driver = FIG_DRIVERS.get(args.name)
     if driver is None:
-        raise SystemExit(f"unknown figure {args.name!r}; "
-                         f"known: {sorted(FIG_DRIVERS)}")
+        _usage_error(args, f"unknown figure {args.name!r}; "
+                           f"known: {', '.join(FIG_DRIVERS)}")
     runner = SweepEngine(workers=args.jobs,
                          cache=_resolve_cli_cache(args, default_on=False))
     result = driver(args, runner)
@@ -412,8 +417,8 @@ def cmd_report(args) -> int:
 def cmd_lint(args) -> int:
     """Run the AST invariant linter (``repro.analysis``) over paths.
 
-    Exit code 0 when clean, 1 on findings or an unknown rule or path,
-    2 on an argparse usage error.  KEY01 finds the Stats counter
+    Exit code 0 when clean, 1 on findings, 2 on a usage error (an
+    unknown flag, rule or path).  KEY01 finds the Stats counter
     registry by searching upward from the linted files for
     ``docs/telemetry.md``.
     """
@@ -421,11 +426,10 @@ def cmd_lint(args) -> int:
     try:
         rules = rules_by_id(args.rules) if args.rules else default_rules()
     except ValueError as exc:
-        raise SystemExit(f"repro lint: {exc}")
+        _usage_error(args, str(exc))
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
-        raise SystemExit(f"repro lint: no such path(s): "
-                         f"{', '.join(missing)}")
+        _usage_error(args, f"no such path(s): {', '.join(missing)}")
     findings = run_rules(paths, rules)
     for f in findings:
         print(f.format())
@@ -442,7 +446,7 @@ def cmd_sanitize(args) -> int:
     Runs each (design, engine) pair against a reference-engine
     recording of the same cell and prints either ``ok`` or the first
     divergent (boundary, component) with both digests.  Exit code 0
-    when every pair matches, 1 otherwise.
+    when every pair matches, 1 otherwise, 2 on a usage error.
     """
     from repro.sanitize import sanitize_compare
 
@@ -450,8 +454,8 @@ def cmd_sanitize(args) -> int:
     engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
     for eng in engines:
         if eng not in ENGINES:
-            raise SystemExit(f"repro sanitize: unknown engine {eng!r}; "
-                             f"known: {ENGINES}")
+            _usage_error(args, f"unknown engine {eng!r}; "
+                               f"known: {', '.join(ENGINES)}")
     # Aliases resolve first, so "fast,batch" replays the engine once.
     engines = tuple(dict.fromkeys(resolve_engine(e) for e in engines))
     designs = tuple(d.strip() for d in args.designs.split(",") if d.strip())
@@ -559,15 +563,12 @@ def make_parser() -> argparse.ArgumentParser:
         description="Hydrogen (SC 2024) reproduction command line")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, mix=True):
+    # Each subcommand declares only the flags it reads, so argparse
+    # rejects the rest instead of ignoring them.
+    def workload_opts(sp, mix=True):
         sp.add_argument("--seed", type=int, default=7)
         sp.add_argument("--scale", type=float, default=1.0,
                         help="trace-length scale (1.0 = default runs)")
-        sp.add_argument("--config", help="system config JSON file")
-        sp.add_argument("--hbm3", action="store_true",
-                        help="use the HBM3 fast tier (Fig. 5b)")
-        sp.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override a config field, e.g. hybrid.assoc=8")
         if mix:
             sp.add_argument("--mix", default="C1",
                             help="C1..C12, an LLM mix (kvcache, "
@@ -575,6 +576,17 @@ def make_parser() -> argparse.ArgumentParser:
                                  "kvcache-long), or a custom "
                                  "'cpu1-cpu2:gpu' spec, e.g. "
                                  "'gcc-mcf:backprop'")
+
+    def config_opts(sp):
+        sp.add_argument("--config", help="system config JSON file")
+        sp.add_argument("--hbm3", action="store_true",
+                        help="use the HBM3 fast tier (Fig. 5b)")
+        sp.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a config field, e.g. hybrid.assoc=8")
+
+    def common(sp, mix=True):
+        workload_opts(sp, mix)
+        config_opts(sp)
 
     def engine_opt(sp):
         sp.add_argument("--engine", choices=list(ENGINES), default="fast",
@@ -677,7 +689,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("fig", help="regenerate a paper figure/table")
-    common(sp, mix=False)
+    workload_opts(sp, mix=False)
     sp.add_argument("name", help="table2, fig2a, fig2bcd, fig5, fig5-hbm3, "
                                  "fig6, fig7, fig8, fig9, fig10, fig11, "
                                  "kvcache (--jobs and the cache flags "
@@ -687,12 +699,12 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_fig)
 
     sp = sub.add_parser("traces", help="generate and save a mix's traces")
-    common(sp)
+    workload_opts(sp)
     sp.add_argument("--out", default="traces-out", help="output directory")
     sp.set_defaults(fn=cmd_traces)
 
     sp = sub.add_parser("config", help="dump the system configuration JSON")
-    common(sp, mix=False)
+    config_opts(sp)
     sp.set_defaults(fn=cmd_config)
 
     sp = sub.add_parser("report", help="summarize a perf.csv (task T3)")

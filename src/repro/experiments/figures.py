@@ -96,7 +96,7 @@ def fig2_sensitivity(mix_name: str = "C1", *, scale: float = 1.0,
 
     results = (runner or SweepEngine()).run(
         [job(base)] + [job(cfg) for pts in points.values()
-                       for _, _, cfg in pts])
+                       for _, _, cfg in pts]).results
     ref = results[job(base)]
     out: dict[str, list[dict]] = {}
     for series, pts in points.items():
@@ -154,7 +154,7 @@ def fig6_energy(mixes=ALL_MIXES, *, scale: float = 1.0, seed: int = 7,
         return SweepJob(MixSpec(name, scale=scale, seed=seed), design, cfg)
 
     results = (runner or SweepEngine()).run(
-        [job(n, d) for n in mixes for d in designs])
+        [job(n, d) for n in mixes for d in designs]).results
     rows = []
     for name in mixes:
         energies = {d: results[job(name, d)].energy.total_nj
@@ -282,7 +282,7 @@ def fig10_weights_cores(mix_name: str = "C6", *, scale: float = 1.0,
     weighted = {w: SweepJob(spec, "hydrogen", replace(
         base_cfg, weight_cpu=float(w), weight_gpu=1.0))
         for w in weight_ratios}
-    results = runner.run(solo + list(weighted.values()))
+    results = runner.run(solo + list(weighted.values())).results
     solo_cpu, solo_gpu = (results[j] for j in solo)
 
     for w, job in weighted.items():

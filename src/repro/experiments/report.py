@@ -130,30 +130,3 @@ def format_events(events, prefixes: tuple[str, ...] = ("tuner.",
         return "(no events)"
     return "\n".join(lines)
 
-
-def format_sweep_stats(stats) -> str:
-    """Human-readable summary of a sweep run.
-
-    ``stats`` is a :class:`repro.experiments.sweep.SweepStats`: job and
-    dedup counts, cache hit/miss counters, worker count, total wall time
-    and the slowest individual jobs.
-    """
-    lines = [
-        f"sweep: {stats.submitted} submitted, {stats.unique} unique, "
-        f"{stats.simulated} simulated, {stats.cache_hits} cache hits "
-        f"({stats.hit_rate:.0%}), {stats.workers} worker(s), "
-        f"{stats.wall_total:.1f}s wall"
-    ]
-    slowest = stats.slowest()
-    if slowest:
-        worst = ", ".join(f"{label} {dt:.2f}s" for label, dt in slowest)
-        lines.append(f"slowest jobs: {worst}")
-    if stats.retries or stats.failed or stats.pool_restarts or stats.degraded:
-        bits = [f"{stats.retries} retried, {stats.failed} failed "
-                f"({stats.timeouts} timeout)",
-                f"{stats.pool_restarts} pool restart(s) "
-                f"({stats.requeued} requeued)"]
-        if stats.degraded:
-            bits.append("degraded to serial")
-        lines.append("resilience: " + ", ".join(bits))
-    return "\n".join(lines)

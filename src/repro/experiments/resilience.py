@@ -14,10 +14,9 @@ survive all of that without losing completed work:
   failure instead of wedging the whole sweep.
 * :class:`JobFailure` — the per-job post-mortem record (kind, error,
   attempts, traceback tail).
-* :class:`SweepReport` — what ``SweepEngine.run`` returns: a
-  ``Mapping`` over the successful results (drop-in compatible with the
-  old plain dict) that also carries the failure records and recovery
-  counters.
+* :class:`SweepReport` — what ``SweepEngine.run`` returns: the run's
+  results and failure records in submission order, plus its job, cache
+  and recovery counters.
 
 The failure *policy* decides what a job failure does to the sweep:
 ``"raise"`` (fail fast, the historical behavior) re-raises the first
@@ -32,7 +31,6 @@ import signal
 import threading
 import traceback
 import warnings
-from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
@@ -162,11 +160,11 @@ def time_limit(seconds: float | None, label: str = "job"):
 class JobFailure:
     """Post-mortem record for one job the sweep could not complete.
 
-    ``kind`` is ``"timeout"`` (:class:`JobTimeout`), ``"crash"``
-    (worker/pool death) or ``"exception"`` (anything else); ``error``
-    is the ``Type: message`` one-liner and ``detail`` a traceback tail
-    for diagnosis.  ``job`` references the original spec so callers
-    can resubmit, but stays out of equality/ordering.
+    ``kind`` is ``"timeout"`` (:class:`JobTimeout`) or ``"exception"``
+    (anything else); ``error`` is the ``Type: message`` one-liner and
+    ``detail`` a traceback tail for diagnosis.  ``job`` references the
+    original spec so callers can resubmit, but stays out of
+    equality/ordering.
     """
 
     label: str
@@ -178,10 +176,9 @@ class JobFailure:
 
 
 def failure_from(job_label: str, exc: BaseException, attempts: int,
-                 job: Any = None, kind: str | None = None) -> JobFailure:
+                 job: Any = None) -> JobFailure:
     """Build a :class:`JobFailure` from a caught exception."""
-    if kind is None:
-        kind = "timeout" if isinstance(exc, JobTimeout) else "exception"
+    kind = "timeout" if isinstance(exc, JobTimeout) else "exception"
     tail = "".join(traceback.format_exception(
         type(exc), exc, exc.__traceback__))[-2000:]
     return JobFailure(label=job_label, kind=kind,
@@ -189,60 +186,36 @@ def failure_from(job_label: str, exc: BaseException, attempts: int,
                       attempts=attempts, detail=tail, job=job)
 
 
-class SweepReport(Mapping):
-    """Results of one ``SweepEngine.run`` batch, failures included.
+@dataclass
+class SweepReport:
+    """The one record of a ``SweepEngine.run``: what it produced and how.
 
-    Behaves as a read-only mapping ``{job: result}`` over the
-    *successful* jobs — drop-in compatible with the plain dict the
-    engine used to return — while also carrying :attr:`failures` (one
-    :class:`JobFailure` per unrecoverable job, submission order),
-    :attr:`retries` / :attr:`requeued` / :attr:`pool_restarts`
-    counters for this batch, and :attr:`degraded` (the batch fell back
-    to serial execution after repeated pool deaths).  :attr:`deduped`
-    counts submitted jobs that collapsed onto an identical job in the
-    same batch and :attr:`cache_hits` counts jobs recalled from the
-    result cache instead of simulated — together they make
-    dedup-across-clients observable for the campaign server.  Compares
-    equal to a plain mapping with the same results, so existing
-    bit-identical assertions keep working.
+    ``results`` maps each successful job to its result and ``failures``
+    holds one :class:`JobFailure` per job that exhausted its retries,
+    both in submission order.  The counters: ``submitted`` jobs
+    (duplicates included), ``deduped`` duplicates that collapsed onto an
+    identical job, ``cache_hits`` recalled from the result cache,
+    ``simulated`` run to completion, ``retries`` failed attempts that
+    ran again, ``requeued`` in-flight jobs resubmitted after a pool
+    death, ``pool_restarts``, and ``degraded`` (the run fell back to
+    in-process execution after repeated pool deaths).  ``workers`` is
+    the engine's worker count, ``wall`` the run's wall-clock seconds and
+    ``job_walls`` each simulated job's.
     """
 
-    def __init__(self, results: "Mapping[Any, Any]",
-                 failures: "tuple[JobFailure, ...] | list[JobFailure]" = (),
-                 retries: int = 0, requeued: int = 0,
-                 pool_restarts: int = 0, degraded: bool = False,
-                 deduped: int = 0, cache_hits: int = 0) -> None:
-        self._results = dict(results)
-        self.failures = tuple(failures)
-        self.retries = retries
-        self.requeued = requeued
-        self.pool_restarts = pool_restarts
-        self.degraded = degraded
-        self.deduped = deduped
-        self.cache_hits = cache_hits
-
-    # -- mapping protocol --------------------------------------------------
-
-    def __getitem__(self, job: Any) -> Any:
-        return self._results[job]
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._results)
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SweepReport):
-            return (self._results == other._results
-                    and self.failures == other.failures)
-        if isinstance(other, Mapping):
-            return self._results == dict(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]  # mutable mapping contents
-
-    # -- convenience -------------------------------------------------------
+    results: dict[Any, Any] = field(default_factory=dict)
+    failures: tuple[JobFailure, ...] = ()
+    workers: int = 1
+    submitted: int = 0
+    deduped: int = 0
+    cache_hits: int = 0
+    simulated: int = 0
+    retries: int = 0
+    requeued: int = 0
+    pool_restarts: int = 0
+    degraded: bool = False
+    wall: float = 0.0
+    job_walls: dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -250,20 +223,25 @@ class SweepReport(Mapping):
         return not self.failures
 
     def summary(self) -> str:
-        """One-line human summary (used by CLI reporting)."""
-        bits = [f"{len(self._results)} result(s)",
-                f"{len(self.failures)} failure(s)"]
-        if self.retries:
-            bits.append(f"{self.retries} retr"
-                        + ("y" if self.retries == 1 else "ies"))
-        if self.requeued:
-            bits.append(f"{self.requeued} requeued")
-        if self.pool_restarts:
-            bits.append(f"{self.pool_restarts} pool restart(s)")
-        if self.degraded:
-            bits.append("degraded to serial")
-        if self.deduped:
-            bits.append(f"{self.deduped} deduped")
-        if self.cache_hits:
-            bits.append(f"{self.cache_hits} cache hit(s)")
-        return ", ".join(bits)
+        """The run's counters as the lines ``repro sweep`` prints."""
+        unique = self.submitted - self.deduped
+        rate = self.cache_hits / unique if unique else 0.0
+        lines = [f"sweep: {self.submitted} submitted, {unique} unique, "
+                 f"{self.simulated} simulated, {self.cache_hits} cache hits "
+                 f"({rate:.0%}), {self.workers} worker(s), "
+                 f"{self.wall:.1f}s wall"]
+        slowest = sorted(self.job_walls.items(), key=lambda kv: -kv[1])[:3]
+        if slowest:
+            lines.append("slowest jobs: " + ", ".join(
+                f"{label} {dt:.2f}s" for label, dt in slowest))
+        if self.retries or self.failures or self.pool_restarts \
+                or self.degraded:
+            timeouts = sum(f.kind == "timeout" for f in self.failures)
+            bits = [f"{self.retries} retried, {len(self.failures)} failed "
+                    f"({timeouts} timeout)",
+                    f"{self.pool_restarts} pool restart(s) "
+                    f"({self.requeued} requeued)"]
+            if self.degraded:
+                bits.append("degraded to serial")
+            lines.append("resilience: " + ", ".join(bits))
+        return "\n".join(lines)

@@ -46,7 +46,7 @@ import time
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 ProcessPoolExecutor, wait)
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from repro import faults
@@ -242,35 +242,6 @@ def _execute_job(job: SweepJob, timeout: float | None = None,
     return res, time.perf_counter() - t0
 
 
-@dataclass
-class SweepStats:
-    """Progress / reporting counters for one engine (cumulative)."""
-
-    workers: int = 1
-    submitted: int = 0     # jobs handed to run(), duplicates included
-    unique: int = 0        # after deduplication
-    cache_hits: int = 0
-    cache_misses: int = 0  # unique jobs that had to simulate (cache on)
-    simulated: int = 0
-    completed: int = 0
-    wall_total: float = 0.0               # engine wall-clock over run()s
-    job_walls: dict[str, float] = field(default_factory=dict)
-    # Resilience counters (see repro.experiments.resilience).
-    retries: int = 0       # failed attempts that were re-run
-    failed: int = 0        # jobs that exhausted their retries
-    timeouts: int = 0      # subset of `failed` that ended on JobTimeout
-    requeued: int = 0      # in-flight jobs resubmitted after a pool death
-    pool_restarts: int = 0
-    degraded: bool = False  # some run() fell back to serial execution
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.unique if self.unique else 0.0
-
-    def slowest(self, n: int = 3) -> list[tuple[str, float]]:
-        return sorted(self.job_walls.items(), key=lambda kv: -kv[1])[:n]
-
-
 class SweepEngine:
     """Deduplicating, caching, process-pool runner for sweep jobs.
 
@@ -309,9 +280,9 @@ class SweepEngine:
         #: through this so a crash between job exhaustion and report
         #: delivery cannot lose the outcome.
         self.on_failure = on_failure
-        self.stats = SweepStats(workers=self.workers)
-        #: The :class:`SweepReport` of the most recent :meth:`run`.
-        self.report: SweepReport | None = None
+        #: The :class:`SweepReport` of the most recent :meth:`run` (an
+        #: empty one before the first).
+        self.report = SweepReport(workers=self.workers)
 
     def _say(self, msg: str) -> None:
         if self.progress is not None:
@@ -322,21 +293,19 @@ class SweepEngine:
 
         Duplicate jobs — e.g. the shared baseline of several comparisons —
         are simulated once.  With ``workers > 1`` pending jobs execute in a
-        process pool; completion order never affects the returned mapping.
+        process pool; completion order never affects the returned report.
 
         The return value is a :class:`~repro.experiments.resilience.
-        SweepReport`: a mapping ``{job: result}`` over the successful
-        jobs (equal to the plain dict previous versions returned) that
-        also carries per-job failure records and recovery counters.
+        SweepReport`: the successful jobs' results and the failure
+        records, both in submission order, plus the run's counters.
         Every completed job is written to the cache as it finishes, so
         an aborted or interrupted sweep resumes from the cache on rerun.
         """
         t0 = time.perf_counter()
-        before = replace(self.stats)   # the run's counters are the deltas
         jobs = list(jobs)
         ordered = list(dict.fromkeys(jobs))
-        self.stats.submitted += len(jobs)
-        self.stats.unique += len(ordered)
+        report = SweepReport(workers=self.workers, submitted=len(jobs),
+                             deduped=len(jobs) - len(ordered))
 
         results: dict[SweepJob, SimResult] = {}
         pending: list[SweepJob] = []
@@ -348,53 +317,42 @@ class SweepEngine:
                 hit = self.cache.get(key)
                 if hit is not None:
                     results[job] = hit
-                    self.stats.cache_hits += 1
-                    self.stats.completed += 1
+                    report.cache_hits += 1
                     if self.on_result is not None:
                         self.on_result(job, hit, 0.0)
                     continue
-                self.stats.cache_misses += 1
             pending.append(job)
 
         self._say(f"sweep: {len(jobs)} job(s) queued "
-                  f"({len(jobs) - len(ordered)} duplicate, "
-                  f"{len(ordered) - len(pending)} cached), "
+                  f"({report.deduped} duplicate, "
+                  f"{report.cache_hits} cached), "
                   f"running {len(pending)} on "
                   f"{min(self.workers, max(1, len(pending)))} worker(s)")
 
         def record(job: SweepJob, res: SimResult, dt: float) -> None:
             results[job] = res
-            self.stats.simulated += 1
-            self.stats.completed += 1
-            self.stats.job_walls[job.label] = dt
+            report.simulated += 1
+            report.job_walls[job.label] = dt
             if self.cache is not None:
                 self.cache.put(keys[job], res)
             if self.on_result is not None:
                 self.on_result(job, res, dt)
-            self._say(f"  [{self.stats.simulated - before.simulated}/"
-                      f"{len(pending)}] {job.label} ({dt:.2f}s)")
+            self._say(f"  [{report.simulated}/{len(pending)}] "
+                      f"{job.label} ({dt:.2f}s)")
 
         failures: dict[SweepJob, JobFailure] = {}
-        degraded = self._drain(pending, failures, record)
+        self._drain(pending, failures, record, report)
 
-        stats = self.stats
-        stats.wall_total += time.perf_counter() - t0
-        report = SweepReport(
-            {job: results[job] for job in ordered if job in results},
-            failures=tuple(failures[job] for job in ordered
-                           if job in failures),
-            retries=stats.retries - before.retries,
-            requeued=stats.requeued - before.requeued,
-            pool_restarts=stats.pool_restarts - before.pool_restarts,
-            degraded=degraded, deduped=len(jobs) - len(ordered),
-            cache_hits=stats.cache_hits - before.cache_hits)
+        report.results = {job: results[job] for job in ordered
+                          if job in results}
+        report.failures = tuple(failures[job] for job in ordered
+                                if job in failures)
+        report.wall = time.perf_counter() - t0
         self.report = report
-        if not report.ok or report.retries or report.pool_restarts:
-            self._say("sweep: " + report.summary())
         return report
 
-    def _drain(self, pending, failures, record) -> bool:
-        """Run every pending job to an outcome; True if the run degraded.
+    def _drain(self, pending, failures, record, report) -> None:
+        """Run every pending job to an outcome, counting on ``report``.
 
         One loop over one queue.  With one worker or one pending job,
         each job runs in-process on the calling thread; otherwise every
@@ -412,7 +370,6 @@ class SweepEngine:
         pooled = self.workers > 1 and len(pending) > 1
         pool: ProcessPoolExecutor | None = None
         deaths = 0
-        degraded = False
 
         def finish(job: SweepJob, res: SimResult, dt: float) -> None:
             nonlocal deaths
@@ -464,6 +421,7 @@ class SweepEngine:
                     except Exception as exc:
                         attempts[job] += 1
                         if self.retry.retryable(attempts[job]):
+                            report.retries += 1
                             self._note_retry(job, exc, attempts[job])
                             queue.appendleft(job)
                         else:
@@ -481,15 +439,15 @@ class SweepEngine:
                 queue = deque(outstanding)
                 for job in queue:
                     attempts[job] += 1
-                self.stats.pool_restarts += 1
-                self.stats.requeued += len(queue)
+                report.pool_restarts += 1
+                report.requeued += len(queue)
                 self.telemetry.event("sweep.pool_restart", deaths=deaths,
                                      requeued=len(queue))
                 self._say(f"sweep: worker pool died ({deaths} "
                           f"consecutive); requeueing {len(queue)} job(s)")
                 if deaths >= DEGRADE_AFTER and queue:
                     pooled = False
-                    degraded = self.stats.degraded = True
+                    report.degraded = True
                     self.telemetry.event("sweep.degraded",
                                          pool_deaths=deaths,
                                          remaining=len(queue))
@@ -502,14 +460,12 @@ class SweepEngine:
             raise
         finally:
             _shut(pool, kill=bool(outstanding))
-        return degraded
 
     # -- resilience bookkeeping --------------------------------------------
 
     def _note_retry(self, job, exc: Exception, attempt: int) -> None:
-        """Account for a retryable failure and apply its backoff delay."""
+        """Announce a retryable failure and apply its backoff delay."""
         delay = self.retry.delay(job.label, attempt)
-        self.stats.retries += 1
         self.telemetry.event("sweep.retry", label=job.label,
                              attempt=attempt, delay=delay,
                              error=f"{type(exc).__name__}: {exc}")
@@ -522,9 +478,6 @@ class SweepEngine:
         """Record an exhausted job; re-raise under the "raise" policy."""
         failure = failure_from(job.label, exc, attempt, job=job)
         failures[job] = failure
-        self.stats.failed += 1
-        if failure.kind == "timeout":
-            self.stats.timeouts += 1
         self.telemetry.event("sweep.failure", label=job.label,
                              attempts=attempt, reason=failure.kind,
                              error=failure.error)
@@ -610,7 +563,7 @@ def sweep_grid(mixes, designs, cfg: SystemConfig | None = None, *,
         return SweepJob(spec, design, cfg, native_geometry, frozen,
                         trace_dir)
 
-    results = runner.run([job(s, d) for s in specs for d in names])
+    results = runner.run([job(s, d) for s in specs for d in names]).results
     out: dict[str, dict] = {d: {} for d in names}
     for spec in specs:
         base = results.get(job(spec, "baseline"))
@@ -664,7 +617,7 @@ def corun_grid(mixes, cfg: SystemConfig | None = None, *,
         jobs.extend(job(s) for s in (solo_cpu, solo_gpu, spec)
                     if s is not None)
 
-    results = runner.run(jobs)
+    results = runner.run(jobs).results
     out = {}
     for spec, solo_cpu, solo_gpu in trios:
         corun = results.get(job(spec))

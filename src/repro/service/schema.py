@@ -5,7 +5,8 @@ spoke their own ad-hoc dict vocabulary; a client had nothing stable to
 program against.  Everything result-shaped now flows through one
 family of frozen dataclasses stamped with :data:`SCHEMA_VERSION`:
 
-* :class:`CellKey` — identity of one grid cell (mix x design).
+* :class:`CellKey` — identity of one grid cell (mix x design), which
+  the server keys its waiters by; it never crosses the wire.
 * :class:`CellRow` — one cell's outcome: cycles, per-class speedups and
   the paper's weighted speedup.  Produced by ``api.SweepResult.rows``,
   consumed by ``report.perf_csv_rows`` and streamed verbatim by the
@@ -16,10 +17,10 @@ family of frozen dataclasses stamped with :data:`SCHEMA_VERSION`:
   backed by the engine's :class:`~repro.experiments.resilience.
   SweepReport` accounting (failures, dedup and cache-hit counters).
 
-Every class round-trips through ``to_json`` / ``from_json``; the JSON
-layer is plain ``dict`` / ``list`` / ``str`` / ``float`` so any HTTP
-client can speak it.  ``from_json`` rejects payloads from a *newer*
-schema than this library understands.
+Every class but ``CellKey`` round-trips through ``to_json`` /
+``from_json``; the JSON layer is plain ``dict`` / ``list`` / ``str`` /
+``float`` so any HTTP client can speak it.  ``from_json`` rejects
+payloads from a *newer* schema than this library understands.
 """
 
 from __future__ import annotations
@@ -72,22 +73,6 @@ class CellKey:
     mix: str
     design: str
 
-    @property
-    def label(self) -> str:
-        """Human label used in failure records and logs."""
-        return f"{self.design}@{self.mix}"
-
-    def to_json(self) -> dict[str, Any]:
-        """Plain-dict wire form (schema-stamped)."""
-        return {"schema_version": SCHEMA_VERSION,
-                "mix": self.mix, "design": self.design}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "CellKey":
-        """Inverse of :meth:`to_json`; validates the version stamp."""
-        check_version(data, "CellKey")
-        return cls(**_take(data, cls, "CellKey"))
-
 
 #: Columns of a :class:`CellRow`, in wire and perf.csv order.
 CELL_ROW_FIELDS = ("design", "mix", "cycles_cpu", "cycles_gpu",
@@ -111,11 +96,6 @@ class CellRow:
     speedup_cpu: float
     speedup_gpu: float
     weighted_speedup: float
-
-    @property
-    def key(self) -> CellKey:
-        """The cell's identity (mix x design)."""
-        return CellKey(mix=self.mix, design=self.design)
 
     @classmethod
     def from_combo(cls, design: str, mix: str, combo: Any) -> "CellRow":

@@ -75,7 +75,7 @@ def test_sweep_returns_typed_result():
     rows = res.rows()
     assert {r.design for r in rows} == {"baseline", "waypart"}
     assert rows[0].cycles_cpu > 0 and rows[0].weighted_speedup > 0
-    assert res.stats.completed == len(rows)
+    assert len(res.report.results) == len(rows) and res.report.ok
 
 
 def test_compare_normalizes_to_baseline():
@@ -88,8 +88,8 @@ def test_sweep_after_compare_recalls_every_cell(tmp_path):
     kw = dict(designs=("waypart",), scale=0.02, cache=tmp_path)
     api.compare(mix="C1", **kw)
     res = api.sweep(mixes=["C1"], **kw)
-    assert res.stats.simulated == 0
-    assert res.stats.cache_hits == 2
+    assert res.report.simulated == 0
+    assert res.report.cache_hits == 2
 
 
 def test_corun_reports_unified_keys():

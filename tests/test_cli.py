@@ -148,8 +148,20 @@ def test_compare_then_sweep_simulates_nothing(capsys, tmp_path):
 
 
 def test_compare_unknown_mix(capsys):
-    with pytest.raises(SystemExit, match="unknown mix 'C99'"):
+    with pytest.raises(SystemExit) as exc:
         main(["compare", "--mix", "C99"])
+    assert exc.value.code == 2
+    assert "unknown mix 'C99'" in capsys.readouterr().err
+
+
+def test_compare_prints_why_a_design_is_missing(capsys, tmp_path):
+    code, out = run_cli(capsys, "compare", "--mix", "C1", "--designs",
+                        "waypart", "--scale", "0.02", "--no-cache",
+                        "--collect-failures", "--faults", "transient:1~waypart")
+    assert code == 1
+    assert "missing (failed) designs: waypart" in out
+    assert ("FAILED waypart@C1: InjectedFault: injected transient fault "
+            "for waypart@C1 (attempt 1) [exception, 1 attempt(s)]") in out
 
 
 #: Every command taking mix or design names, given one unknown name:
@@ -171,7 +183,7 @@ UNKNOWN_NAME_CASES = [
     ids=[f"{argv[0]}-{unknown.split()[1]}"
          for argv, unknown, _ in UNKNOWN_NAME_CASES])
 def test_unknown_name_is_one_usage_line_before_any_cell(
-        argv, unknown, known, monkeypatch, tmp_path):
+        argv, unknown, known, monkeypatch, tmp_path, capsys):
     def simulate(*args, **kw):
         raise AssertionError("a cell simulated before the name check")
 
@@ -180,9 +192,65 @@ def test_unknown_name_is_one_usage_line_before_any_cell(
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--scale", "0.02"])
-    msg = str(exc.value.code)
+    assert exc.value.code == 2
+    msg = capsys.readouterr().err
     assert msg.startswith(f"repro {argv[0]}: {unknown}; known: "), msg
-    assert known in msg and "\n" not in msg
+    assert known in msg and msg.count("\n") == 1
+
+
+#: Usage errors outside the name checks: (argv, the one stderr line's
+#: start).  Each exits 2, the status argparse gives a usage error, so a
+#: wrapper can tell a typo from lint findings or failed cells (exit 1).
+USAGE_ERROR_CASES = [
+    (("lint", "--rules", "NOPE", "src"), "repro lint: unknown rule 'NOPE'"),
+    (("lint", "nosuchdir"), "repro lint: no such path(s): nosuchdir"),
+    (("fig", "fig99"), "repro fig: unknown figure 'fig99'; known: table2"),
+    (("sanitize", "--engines", "nope"),
+     "repro sanitize: unknown engine 'nope'; known: reference"),
+    (("config", "--config", "/nonexistent/cfg.json"),
+     "repro config: [Errno 2] No such file"),
+    (("config", "--set", "hybrid.nope=1"),
+     "repro config: unknown config field 'hybrid.nope'"),
+    (("config", "--set", "hybrid.assoc=abc"),
+     "repro config: --set hybrid.assoc=abc: the value is not JSON"),
+    (("config", "--set", "hybrid.assoc=3"),
+     "repro config: fast capacity must be a multiple of block*assoc"),
+    (("config", "--set", "hybrid.assoc"),
+     "repro config: --set expects key=value"),
+    (("sweep", "--mixes", "C1", "--faults", "explode"),
+     "repro sweep: --faults: unknown fault kind 'explode'"),
+]
+
+
+@pytest.mark.parametrize("argv, line", USAGE_ERROR_CASES,
+                         ids=[" ".join(a) for a, _ in USAGE_ERROR_CASES])
+def test_usage_error_is_one_line_and_exit_two(argv, line, capsys,
+                                             monkeypatch):
+    def simulate(*args, **kw):
+        raise AssertionError("a cell simulated despite the usage error")
+
+    monkeypatch.setattr(runner, "simulate", simulate)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fig", "table2", "--config", "/nonexistent.json"),
+    ("fig", "fig5", "--hbm3"),
+    ("fig", "table2", "--set", "hybrid.assoc=99"),
+    ("traces", "--mix", "C1", "--set", "hybrid.assoc=99"),
+    ("traces", "--mix", "C1", "--hbm3"),
+    ("config", "--seed", "3"),
+    ("config", "--scale", "0.5"),
+], ids=" ".join)
+def test_subcommands_reject_flags_they_ignore(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        make_parser().parse_args(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_traces_command(capsys, tmp_path):

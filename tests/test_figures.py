@@ -53,7 +53,7 @@ def test_fig6_energy_recalls_cached_cells(tmp_path):
                           runner=SweepEngine(cache=tmp_path))
     again = SweepEngine(cache=tmp_path)
     assert F.fig6_energy(mixes=("C1",), scale=TINY, runner=again) == first
-    assert again.stats.simulated == 0 and again.stats.cache_hits == 3
+    assert again.report.simulated == 0 and again.report.cache_hits == 3
 
 
 def test_fig7_overheads_driver():

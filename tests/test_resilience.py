@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -20,9 +21,8 @@ from repro.config import default_system
 from repro.engine.batch import FastSimulation
 from repro.engine.simulator import Simulation, SimulationStalled, simulate
 from repro.experiments.cache import SweepCache
-from repro.experiments.resilience import (JobFailure, JobTimeout,
-                                          RetryPolicy, SweepReport,
-                                          failure_from,
+from repro.experiments.resilience import (JobTimeout, RetryPolicy,
+                                          SweepReport, failure_from,
                                           resolve_failure_policy,
                                           resolve_retry, time_limit)
 from repro.experiments.sweep import MixSpec, SweepEngine, SweepJob
@@ -130,22 +130,6 @@ def test_failure_from_kinds():
         failure_from("j", ValueError("boom"), 1, job=object())
 
 
-# ------------------------------------------------------------- SweepReport
-
-def test_sweep_report_mapping_and_equality():
-    rep = SweepReport({"a": 1, "b": 2}, retries=3)
-    assert rep["a"] == 1 and len(rep) == 2 and set(rep) == {"a", "b"}
-    assert rep == {"a": 1, "b": 2}  # plain-dict equality ignores counters
-    assert rep.ok and rep.get("c") is None
-    failed = SweepReport({"a": 1}, failures=(
-        JobFailure("b@C1", "exception", "ValueError: x", 1),))
-    assert not failed.ok
-    assert failed != rep
-    assert "1 failure(s)" in failed.summary()
-    with pytest.raises(TypeError):
-        hash(rep)
-
-
 # ---------------------------------------------------------- fault injector
 
 def test_fault_spec_parse_roundtrip():
@@ -200,8 +184,8 @@ def test_transient_fault_retried_to_identical_result():
     rep = eng.run([job("waypart")])
     faults.install(None)
     clean = SweepEngine().run([job("waypart")])
-    assert rep.ok and rep.retries == 1 and eng.stats.retries == 1
-    assert rep == clean  # recovery never changes results
+    assert rep.ok and rep.retries == 1
+    assert rep.results == clean.results  # recovery never changes results
     events = rec.events_of("sweep.")
     assert [e["kind"] for e in events] == ["sweep.retry"]
     assert events[0]["label"] == "waypart@C1"
@@ -211,7 +195,7 @@ def test_hang_fault_times_out_and_retries():
     faults.install("hang:1x1@seed=0")
     eng = SweepEngine(retry=FAST_RETRY, job_timeout=1.0)
     rep = eng.run([job("waypart")])
-    assert rep.ok and eng.stats.retries == 1
+    assert rep.ok and rep.retries == 1
 
 
 def test_exhausted_timeout_collected_as_timeout_failure():
@@ -219,7 +203,8 @@ def test_exhausted_timeout_collected_as_timeout_failure():
     eng = SweepEngine(job_timeout=0.5, failures="collect")
     rep = eng.run([job("waypart")])
     assert not rep.ok and rep.failures[0].kind == "timeout"
-    assert eng.stats.timeouts == 1 and eng.stats.failed == 1
+    assert len(rep.failures) == 1 and rep.simulated == 0
+    assert "1 failed (1 timeout)" in rep.summary()
 
 
 def test_raise_policy_fails_fast_collect_keeps_going():
@@ -231,7 +216,39 @@ def test_raise_policy_fails_fast_collect_keeps_going():
     assert len(rep.failures) == 1
     assert rep.failures[0].label == "waypart@C1"
     assert rep.failures[0].job == job("waypart")  # resubmittable
-    assert job("baseline") in rep  # the healthy job still completed
+    assert list(rep.results) == [job("baseline")]  # the healthy one ran
+
+
+def test_one_run_report_counts_each_job_once(tmp_path):
+    """One run's report, pinned: a duplicate, a cache recall, a fault
+    retried once and a job that exhausts its retries, each counted once,
+    with results and failures in submission order."""
+    SweepEngine(cache=SweepCache(tmp_path)).run([job("baseline")])
+    faults.install("transient:1x1~waypart,transient:1x9~hydrogen")
+    eng = SweepEngine(cache=SweepCache(tmp_path), failures="collect",
+                      retry=RetryPolicy(max_attempts=2, backoff_base=0.0))
+    rep = eng.run([job("waypart"), job("baseline"), job("hydrogen"),
+                   job("waypart")])
+    assert eng.report is rep and not rep.ok
+    assert (rep.submitted, rep.deduped, rep.cache_hits, rep.simulated,
+            rep.retries, rep.requeued, rep.pool_restarts, rep.degraded) \
+        == (4, 1, 1, 1, 2, 0, 0, False)
+    assert list(rep.results) == [job("waypart"), job("baseline")]
+    assert [(f.label, f.kind, f.error, f.attempts) for f in rep.failures] \
+        == [("hydrogen@C1", "exception", "InjectedFault: injected "
+             "transient fault for hydrogen@C1 (attempt 2)", 2)]
+    assert rep.failures[0].job == job("hydrogen")  # resubmittable
+    assert rep.wall > 0 and list(rep.job_walls) == ["waypart@C1"]
+    pinned = replace(rep, wall=1.5, job_walls={"waypart@C1": 0.5})
+    assert pinned.summary().splitlines() == [
+        "sweep: 4 submitted, 3 unique, 1 simulated, 1 cache hits (33%), "
+        "1 worker(s), 1.5s wall",
+        "slowest jobs: waypart@C1 0.50s",
+        "resilience: 2 retried, 1 failed (0 timeout), "
+        "0 pool restart(s) (0 requeued)"]
+    assert SweepReport().ok and SweepReport().summary() == (
+        "sweep: 0 submitted, 0 unique, 0 simulated, 0 cache hits (0%), "
+        "1 worker(s), 0.0s wall")
 
 
 # ------------------------------------------- engine: pool death / degrade
@@ -244,9 +261,9 @@ def test_pool_death_recovers_without_losing_jobs():
     rep = eng.run(jobs)
     faults.install(None)
     clean = SweepEngine().run(jobs)
-    assert rep.ok and len(rep) == 3
-    assert eng.stats.pool_restarts >= 1 and eng.stats.requeued >= 1
-    assert rep == clean  # bit-identical through the pool respawn
+    assert rep.ok and len(rep.results) == 3
+    assert rep.pool_restarts >= 1 and rep.requeued >= 1
+    assert rep.results == clean.results  # bit-identical through the respawn
     assert any(e["kind"] == "sweep.pool_restart"
                for e in rec.events_of("sweep."))
 
@@ -259,8 +276,8 @@ def test_repeated_pool_deaths_degrade_to_serial():
     rep = eng.run(jobs)
     faults.install(None)
     clean = SweepEngine().run(jobs)
-    assert rep.ok and rep.degraded and eng.stats.degraded
-    assert rep == clean
+    assert rep.ok and rep.degraded
+    assert rep.results == clean.results
     assert any(e["kind"] == "sweep.degraded"
                for e in rec.events_of("sweep."))
 
@@ -282,7 +299,7 @@ def test_keyboard_interrupt_flushes_completed_to_cache(tmp_path):
     # Rerun resumes from the flushed entries instead of starting over.
     resumed = SweepEngine(cache=SweepCache(tmp_path))
     rep = resumed.run(jobs)
-    assert rep.ok and resumed.stats.cache_hits == flushed
+    assert rep.ok and rep.cache_hits == flushed
 
 
 def test_keyboard_interrupt_terminates_pool_workers():
@@ -323,12 +340,12 @@ def test_torn_cache_write_quarantined_on_resume(tmp_path):
     faults.install(None)
     resumed = SweepEngine(cache=SweepCache(tmp_path))
     rep = resumed.run(jobs)
-    assert resumed.stats.cache_hits == 0      # every entry was torn
-    assert resumed.stats.simulated == 2       # quarantined and re-run
-    assert rep == first                       # to identical results
+    assert rep.cache_hits == 0                # every entry was torn
+    assert rep.simulated == 2                 # quarantined and re-run
+    assert rep.results == first.results       # to identical results
     # The re-simulated (untorn) entries now serve hits.
-    third = SweepEngine(cache=SweepCache(tmp_path))
-    assert third.run(jobs) == rep and third.stats.cache_hits == 2
+    third = SweepEngine(cache=SweepCache(tmp_path)).run(jobs)
+    assert third.results == rep.results and third.cache_hits == 2
 
 
 # ---------------------------------------------------------- stall watchdog

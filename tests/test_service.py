@@ -133,11 +133,10 @@ def test_fair_queue_unknown_priority_rejected():
 # ------------------------------------------------- report dedup counters
 
 def test_sweep_report_carries_dedup_counters():
-    rep = SweepReport({}, deduped=3, cache_hits=2)
+    rep = SweepReport(submitted=5, deduped=3, cache_hits=2)
     assert rep.deduped == 3 and rep.cache_hits == 2
-    assert "3 deduped" in rep.summary()
-    assert "2 cache hit(s)" in rep.summary()
-    assert "deduped" not in SweepReport({}).summary()
+    assert "5 submitted, 2 unique" in rep.summary()
+    assert "2 cache hits (100%)" in rep.summary()
 
 
 # ------------------------------------------------------------- journal
@@ -423,7 +422,7 @@ def test_unknown_names_get_a_400_and_are_never_journaled(tmp_path, field,
         with pytest.raises(ServiceError, match=unknown) as exc:
             client.submit(CampaignSpec(**bad, **TINY))
         assert exc.value.status == 400 and known in str(exc.value)
-        assert handle.server.engine.stats.submitted == 0
+        assert handle.server.engine.report.submitted == 0
         assert client.health()["jobs"] == 0
     records = Journal(tmp_path / "journal").replay()
     assert [r for r in records if r["type"] == "campaign"] == []

@@ -157,7 +157,7 @@ def test_sweep_survives_cache_write_failure(tmp_path, monkeypatch):
     engine = SweepEngine(cache=SweepCache(tmp_path))
     with pytest.warns(RuntimeWarning, match="disabling the cache"):
         out = engine.run([job()])
-    assert len(out) == 1 and engine.stats.completed == 1
+    assert len(out.results) == 1 and out.simulated == 1
     assert engine.cache.disabled and len(SweepCache(tmp_path)) == 0
 
 
@@ -168,77 +168,78 @@ def test_stable_key_is_order_independent_and_sensitive():
 
 def test_engine_cache_hit_on_second_run(tmp_path):
     jobs = [job("baseline"), job("waypart")]
-    first = SweepEngine(cache=SweepCache(tmp_path))
-    r1 = first.run(jobs)
-    assert first.stats.cache_misses == 2 and first.stats.simulated == 2
+    r1 = SweepEngine(cache=SweepCache(tmp_path)).run(jobs)
+    assert r1.cache_hits == 0 and r1.simulated == 2
 
-    second = SweepEngine(cache=SweepCache(tmp_path))
-    r2 = second.run(jobs)
-    assert second.stats.cache_hits == 2 and second.stats.simulated == 0
-    assert second.stats.hit_rate == 1.0
-    assert r1 == r2  # recalled results identical to freshly simulated
+    r2 = SweepEngine(cache=SweepCache(tmp_path)).run(jobs)
+    assert r2.cache_hits == 2 and r2.simulated == 0
+    assert "2 cache hits (100%)" in r2.summary()
+    assert r1.results == r2.results  # recalled identical to simulated
 
 
 def test_cache_invalidated_by_config_change(tmp_path):
     cache = SweepCache(tmp_path)
     engine = SweepEngine(cache=cache)
-    engine.run([job()])
+    first = engine.run([job()])
     from dataclasses import replace
     cfg2 = replace(CFG, hybrid=replace(CFG.hybrid, assoc=8))
-    engine.run([job(cfg=cfg2)])
-    assert engine.stats.cache_hits == 0
-    assert engine.stats.simulated == 2  # different config -> different key
+    second = engine.run([job(cfg=cfg2)])
+    assert first.cache_hits == second.cache_hits == 0
+    # Different config -> different key.
+    assert first.simulated == second.simulated == 1
 
 
 def test_cache_invalidated_by_mix_and_kwargs(tmp_path):
     engine = SweepEngine(cache=SweepCache(tmp_path))
-    engine.run([job(mix=spec(seed=4))])
-    engine.run([job(mix=spec(seed=5))])
-    engine.run([job(mix=spec(seed=4), sim_kw=(("warmup_cpu", 0.1),))])
-    assert engine.stats.cache_hits == 0 and engine.stats.simulated == 3
+    reports = [engine.run([job(mix=spec(seed=4))]),
+               engine.run([job(mix=spec(seed=5))]),
+               engine.run([job(mix=spec(seed=4),
+                               sim_kw=(("warmup_cpu", 0.1),))])]
+    assert [(r.cache_hits, r.simulated) for r in reports] == [(0, 1)] * 3
 
 
 def test_raw_mix_cache_key_is_content_addressed(tmp_path):
     # Two independently built but identical mixes must share a cache entry.
     engine = SweepEngine(cache=SweepCache(tmp_path))
-    engine.run([job(mix=build_mix("C1", seed=4, **TINY))])
-    engine.run([job(mix=build_mix("C1", seed=4, **TINY))])
-    assert engine.stats.cache_hits == 1
-    engine.run([job(mix=build_mix("C1", seed=5, **TINY))])
-    assert engine.stats.simulated == 2  # changed traces -> new key
+    reports = [engine.run([job(mix=build_mix("C1", seed=s, **TINY))])
+               for s in (4, 4, 5)]
+    # The identical rebuild hits; changed traces -> new key.
+    assert [(r.cache_hits, r.simulated) for r in reports] == \
+        [(0, 1), (1, 0), (0, 1)]
 
 
 # ------------------------------------------------------------------- engine
 
 def test_dedup_shares_baseline():
-    engine = SweepEngine()
     jobs = [job("baseline"), job("waypart"), job("baseline")]
-    out = engine.run(jobs)
-    assert engine.stats.submitted == 3
-    assert engine.stats.unique == 2
-    assert engine.stats.simulated == 2
-    assert len(out) == 2
+    out = SweepEngine().run(jobs)
+    assert out.submitted == 3
+    assert out.deduped == 1
+    assert out.simulated == 2
+    assert len(out.results) == 2
 
 
 def test_parallel_results_bit_identical_to_serial():
     jobs = [job(d) for d in ("baseline", "waypart", "hydrogen")]
     serial = SweepEngine(workers=1).run(jobs)
     parallel = SweepEngine(workers=2).run(jobs)
-    assert serial == parallel  # SimResult dataclass equality, field by field
+    # SimResult dataclass equality, field by field.
+    assert serial.results == parallel.results
 
 
 def test_results_in_submission_order():
     jobs = [job(d) for d in ("hydrogen", "baseline", "waypart")]
     out = SweepEngine(workers=2).run(jobs)
-    assert [j.design for j in out] == ["hydrogen", "baseline", "waypart"]
+    assert [j.design for j in out.results] == \
+        ["hydrogen", "baseline", "waypart"]
 
 
 def test_stats_reporting():
-    engine = SweepEngine()
-    engine.run([job("baseline"), job("waypart")])
-    assert engine.stats.wall_total > 0
-    assert set(engine.stats.job_walls) == {"baseline@C1", "waypart@C1"}
-    assert len(engine.stats.slowest(1)) == 1
+    rep = SweepEngine().run([job("baseline"), job("waypart")])
+    assert rep.wall > 0
+    assert set(rep.job_walls) == {"baseline@C1", "waypart@C1"}
+    slowest = rep.summary().splitlines()[1]
+    assert slowest.startswith("slowest jobs: ") and slowest.count("@C1") == 2
 
 
 def test_progress_callback_emits_lines():
