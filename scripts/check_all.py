@@ -4,7 +4,10 @@
 Runs every check the project treats as build-blocking and prints a
 PASS/FAIL/SKIP summary:
 
-* ``pytest`` — the tier-1 suite (``PYTHONPATH=src python -m pytest -x -q``);
+* ``pytest`` — the tier-1 suite (``PYTHONPATH=src python -X dev -m pytest
+  -x -q``): dev mode shows the ``ResourceWarning`` of a file or socket
+  never closed, which pyproject's ``filterwarnings`` turns into a
+  failure;
 * ``lint`` — the AST invariant linter over ``src`` (all rules; see
   docs/analysis.md);
 * ``lint-aux`` — style-only lint over tests/benchmarks/scripts/examples;
@@ -37,7 +40,7 @@ SRC = REPO / "src"
 
 #: Gate name -> command (run from the repo root with src on PYTHONPATH).
 GATES: dict[str, list[str]] = {
-    "pytest": [sys.executable, "-m", "pytest", "-x", "-q"],
+    "pytest": [sys.executable, "-X", "dev", "-m", "pytest", "-x", "-q"],
     "lint": [sys.executable, "-m", "repro", "lint", "src"],
     "lint-aux": [sys.executable, "-m", "repro", "lint", "--rules", "style",
                  "tests", "benchmarks", "scripts", "examples"],

@@ -48,6 +48,7 @@ from repro.experiments.designs import (ALL_DESIGNS, FIG5_DESIGNS,
 from repro.experiments.report import (PERF_HEADERS, epoch_table,
                                       format_events, format_table,
                                       perf_csv_rows, to_csv)
+from repro.experiments.resilience import resolve_retry, resolve_timeout
 from repro.experiments.runner import geomean, weighted_speedup
 from repro.experiments.sweep import MixSpec, SweepEngine
 from repro.service.queue import PRIORITIES
@@ -57,7 +58,7 @@ from repro.traces.cpu import CPU_SPECS
 from repro.traces.gpu import GPU_SPECS
 from repro.traces.io import save_mix
 from repro.traces.llm import LLM_MIX_NAMES, LLM_SPECS
-from repro.traces.mixes import ALL_MIXES
+from repro.traces.mixes import ALL_MIXES, check_seed
 
 
 def _usage_error(args, message: str) -> NoReturn:
@@ -120,6 +121,16 @@ def _resolve_cli_cache(args, *, default_on: bool):
     return None
 
 
+def _check_resilience(args) -> None:
+    """A negative ``--retries`` or ``--timeout`` is a usage error, found
+    by the sweep engine's own checks before any cell runs."""
+    try:
+        resolve_retry(args.retries)
+        resolve_timeout(args.timeout)
+    except ValueError as exc:
+        _usage_error(args, str(exc))
+
+
 def _run_grid(args, specs, designs, cache, progress=None):
     """``api.sweep`` of ``specs`` x ``designs`` for ``compare`` and
     ``sweep``: their config, engine and resilience flags, under the
@@ -177,6 +188,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_resilience(args)
     designs = tuple(args.designs.split(",")) if args.designs else FIG5_DESIGNS
     # One-mix sweep, so its cells are shared with `sweep`.
     res = _run_grid(args, _mix_specs(args, [args.mix], designs), designs,
@@ -198,6 +210,7 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     """Run a (mixes x designs) grid through the sweep engine (cached by
     default) and print the Fig. 5-style table plus the run's report."""
+    _check_resilience(args)
     if args.chaos is not None:
         return _run_chaos(args)
     cache = resolve_cache(_resolve_cli_cache(args, default_on=True))
@@ -477,14 +490,25 @@ def cmd_sanitize(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Run the campaign server in the foreground (docs/service.md)."""
-    from repro.service.server import serve
+    """Run the campaign server in the foreground (docs/service.md).
 
-    return serve(host=args.host, port=args.port, workers=args.jobs,
-                 cache=_resolve_cli_cache(args, default_on=False),
-                 retry=args.retries, job_timeout=args.timeout,
-                 batch_cells=args.batch_cells, journal=args.journal,
-                 max_queued_cells=args.max_queued_cells)
+    A knob the server refuses (a negative ``--retries``/``--timeout``,
+    ``--batch-cells`` or ``--max-queued-cells`` below 1) is a usage
+    error, raised before the port is bound.  This is the dedicated
+    server process, so the ``kill`` fault point may crash it.
+    """
+    from repro.service.server import CampaignServer, serve
+
+    try:
+        server = CampaignServer(
+            args.host, args.port, workers=args.jobs,
+            cache=_resolve_cli_cache(args, default_on=False),
+            retry=args.retries, job_timeout=args.timeout,
+            batch_cells=args.batch_cells, journal=args.journal,
+            max_queued_cells=args.max_queued_cells, killable=True)
+    except ValueError as exc:
+        _usage_error(args, str(exc))
+    return serve(server)
 
 
 def cmd_submit(args) -> int:
@@ -566,7 +590,8 @@ def make_parser() -> argparse.ArgumentParser:
     # Each subcommand declares only the flags it reads, so argparse
     # rejects the rest instead of ignoring them.
     def workload_opts(sp, mix=True):
-        sp.add_argument("--seed", type=int, default=7)
+        sp.add_argument("--seed", type=int, default=7,
+                        help="trace seed, >= 0 (default 7)")
         sp.add_argument("--scale", type=float, default=1.0,
                         help="trace-length scale (1.0 = default runs)")
         if mix:
@@ -609,12 +634,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     def resilience_opts(sp):
         sp.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="re-run a failed cell up to N extra times "
-                             "with deterministic backoff (default 0; see "
-                             "docs/robustness.md)")
+                        help="re-run a failed cell up to N >= 0 extra "
+                             "times with deterministic backoff (default 0; "
+                             "see docs/robustness.md)")
         sp.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-job wall-clock budget in seconds "
-                             "(overruns fail the job as a timeout)")
+                             "(overruns fail the job as a timeout); 0 = "
+                             "none, a negative budget is refused")
         sp.add_argument("--collect-failures", action="store_true",
                         help="record unrecoverable cells and keep going "
                              "instead of aborting the grid (exit 1 if any)")
@@ -740,15 +766,16 @@ def make_parser() -> argparse.ArgumentParser:
                          f"ephemeral)")
     sweep_opts(sp)
     sp.add_argument("--retries", type=int, default=None, metavar="N",
-                    help="re-run a failed cell up to N extra times")
+                    help="re-run a failed cell up to N >= 0 extra times")
     sp.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                    help="per-cell wall-clock budget in seconds; binds "
+                    help="per-cell wall-clock budget in seconds (0 = "
+                         "none, a negative budget is refused); binds "
                          "only cells run in the worker pool (--jobs > 1, "
                          "batches of 2+ cells), others run unbounded "
                          "(docs/service.md)")
     sp.add_argument("--batch-cells", type=int, default=32, metavar="N",
-                    help="max cells drained from the fair queue into one "
-                         "engine batch (default 32)")
+                    help="max cells (N >= 1) drained from the fair queue "
+                         "into one engine batch (default 32)")
     sp.add_argument("--journal", metavar="DIR",
                     help="write-ahead job journal directory: accepted "
                          "campaigns and cell outcomes survive a crash; "
@@ -757,7 +784,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-queued-cells", type=int, default=None,
                     metavar="N",
                     help="admission control: reject submissions with "
-                         "429 + Retry-After while N cells are queued "
+                         "429 + Retry-After while N >= 1 cells are queued "
                          "(default: unlimited)")
     sp.set_defaults(fn=cmd_serve)
 
@@ -772,7 +799,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--designs", help="comma-separated design names "
                                       "(default: the Fig. 5 set)")
     sp.add_argument("--scale", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--seed", type=int, default=7,
+                    help="trace seed, >= 0 (default 7)")
     sp.add_argument("--engine", choices=list(ENGINES), default="fast",
                     help="engine the server runs the cells on "
                          "(default fast)")
@@ -809,6 +837,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    if "seed" in args:
+        # Every command taking --seed builds traces from it (``submit``
+        # through the server): refuse a negative one before anything runs.
+        try:
+            check_seed(args.seed)
+        except ValueError as exc:
+            _usage_error(args, str(exc))
     return args.fn(args)
 
 

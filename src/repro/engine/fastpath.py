@@ -13,9 +13,11 @@ of :mod:`repro.engine.batch`; this module holds the state it runs over:
 * **SoA trace decode** (:class:`FastAgent`) — ``addr // block`` and
   ``block % num_sets`` are precomputed for the whole trace in one
   vectorized pass and memoized per (trace, geometry) on the trace
-  itself (:meth:`repro.traces.base.Trace.columns`).  Only cells that
-  replay the same ``Trace`` object share a decode: a sweep builds a
-  fresh mix per cell, so each sweep cell decodes its own traces.
+  itself (:meth:`repro.traces.base.Trace.columns`), as plain lists
+  that hold one ``int``/``float`` per distinct value rather than one
+  per reference.  Only cells that replay the same ``Trace`` object
+  share a decode: a sweep builds a fresh mix per cell, so each sweep
+  cell decodes its own traces.
 * **Lazy channel releases** (:class:`FastChannel`) — the reference
   schedules a bus-release event for *every* transfer; most find an
   empty queue and are pure no-ops.  The optimized channel reserves the

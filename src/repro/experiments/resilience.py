@@ -112,6 +112,17 @@ def resolve_retry(retry: "RetryPolicy | int | None") -> RetryPolicy:
                     f"got {type(retry).__name__}")
 
 
+def resolve_timeout(seconds: float | None) -> float | None:
+    """Validate the user-facing ``job_timeout`` budget.
+
+    ``None`` and 0 mean no budget; a negative (or NaN) budget raises
+    ``ValueError`` here instead of failing every job in ``setitimer``.
+    """
+    if seconds is not None and not seconds >= 0:
+        raise ValueError(f"job_timeout must be >= 0 seconds, got {seconds}")
+    return seconds
+
+
 def _alarm_capable() -> bool:
     """SIGALRM timeouts need a main-thread POSIX context."""
     return (hasattr(signal, "SIGALRM")
@@ -148,8 +159,8 @@ def time_limit(seconds: float | None, label: str = "job"):
             f"{label} exceeded its {seconds:g}s wall-clock budget")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)

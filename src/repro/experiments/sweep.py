@@ -58,12 +58,13 @@ from repro.experiments.designs import check_design
 from repro.experiments.resilience import (JobFailure, RetryPolicy,
                                           SweepReport, failure_from,
                                           resolve_failure_policy,
-                                          resolve_retry, time_limit)
+                                          resolve_retry, resolve_timeout,
+                                          time_limit)
 from repro.experiments.runner import (run_design, slowdown_metrics,
                                       weighted_speedup)
 from repro.telemetry import NULL_SINK, Telemetry
-from repro.traces.mixes import (WorkloadMix, build_mix, cpu_only,
-                                fill_copies, gpu_only)
+from repro.traces.mixes import (WorkloadMix, build_mix, check_seed,
+                                cpu_only, fill_copies, gpu_only)
 
 #: Environment default for the worker count (used when ``workers=None``).
 WORKERS_ENV = "REPRO_SWEEP_JOBS"
@@ -100,10 +101,11 @@ class MixSpec:
     Carries its own seed, so every job derived from it is deterministic;
     ``solo`` selects the CPU-only / GPU-only variant used by the Fig. 2
     co-run study.  ``None`` reference counts mean "the library default".
-    Construction checks the name (``KeyError`` naming the known mixes),
-    so a grid with a bad name fails before any cell simulates, and
-    resolves ``cpu_copies=None`` to the copies that fill the 8 CPU cores
-    (2 for every named mix).
+    Construction checks the name (``KeyError`` naming the known mixes)
+    and the seed (``ValueError`` when negative), so a grid with a bad
+    name or seed fails before any cell simulates, and resolves
+    ``cpu_copies=None`` to the copies that fill the 8 CPU cores (2 for
+    every named mix).
     """
 
     name: str
@@ -117,6 +119,7 @@ class MixSpec:
 
     def __post_init__(self) -> None:
         copies = fill_copies(self.name)
+        check_seed(self.seed)
         if self.cpu_copies is None:
             object.__setattr__(self, "cpu_copies", copies)
 
@@ -248,8 +251,9 @@ class SweepEngine:
     Resilience knobs (module docstring, docs/robustness.md): ``retry``
     (``None`` = no retries, an int = that many retries, or a full
     :class:`~repro.experiments.resilience.RetryPolicy`), ``job_timeout``
-    (per-job wall-clock budget in seconds), ``failures`` (``"raise"``
-    fail-fast vs ``"collect"``), and ``telemetry`` (a
+    (per-job wall-clock budget in seconds; ``None`` or 0 = no budget,
+    negative raises ``ValueError``), ``failures`` (``"raise"`` fail-fast
+    vs ``"collect"``), and ``telemetry`` (a
     :class:`~repro.telemetry.Telemetry` sink receiving the ``sweep.*``
     events of docs/telemetry.md).
     """
@@ -263,7 +267,7 @@ class SweepEngine:
         self.cache: SweepCache | None = resolve_cache(cache)
         self.progress = progress
         self.retry = resolve_retry(retry)
-        self.job_timeout = job_timeout
+        self.job_timeout = resolve_timeout(job_timeout)
         self.failures = resolve_failure_policy(failures)
         self.telemetry = telemetry if telemetry is not None else NULL_SINK
         #: Optional per-job hand-off hook: ``on_result(job, result, dt)``

@@ -768,27 +768,21 @@ async def _send_chunk(writer: asyncio.StreamWriter, obj: Any) -> None:
     await writer.drain()
 
 
-def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-          **kw: Any) -> int:
-    """Run a campaign server in the foreground (the ``repro serve`` CLI).
+def serve(server: CampaignServer) -> int:
+    """Run ``server`` in the foreground (the ``repro serve`` CLI).
 
-    Blocks until stopped; ``kw`` are :class:`CampaignServer` knobs
-    (``killable`` defaults to True here — this is the dedicated server
-    process the ``kill`` fault point may crash).  SIGTERM / SIGINT
-    trigger a graceful drain: stop admitting, finish the in-flight
-    batch, flush streams, close.  Returns the process exit code —
-    nonzero only when shutting down lost accepted state
+    Blocks until stopped.  The server is built by the caller, so a
+    knob its constructor refuses raises before any socket is bound.
+    SIGTERM / SIGINT trigger a graceful drain: stop admitting, finish
+    the in-flight batch, flush streams, close.  Returns the process
+    exit code — nonzero only when shutting down lost accepted state
     (:attr:`CampaignServer.data_loss`).
     """
-    kw.setdefault("killable", True)
-    box: dict[str, Any] = {}
 
     async def _main() -> None:
-        server = CampaignServer(host, port, **kw)
         await server.start()
-        box["server"] = server
-        print(f"repro service listening on http://{host}:{server.port} "
-              f"(schema v{SCHEMA_VERSION})", flush=True)
+        print(f"repro service listening on http://{server.host}:"
+              f"{server.port} (schema v{SCHEMA_VERSION})", flush=True)
         loop = asyncio.get_running_loop()
         interrupted = asyncio.Event()
         hooked = []
@@ -812,8 +806,7 @@ def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
         asyncio.run(_main())
     except KeyboardInterrupt:
         pass   # platforms where SIGINT could not be hooked
-    server = box.get("server")
-    return 1 if server is not None and server.data_loss else 0
+    return 1 if server.data_loss else 0
 
 
 class ServiceHandle:

@@ -61,39 +61,62 @@ class TraceSpec:
 class TraceColumns:
     """Structure-of-arrays materialization of one trace for one geometry.
 
-    The decoded per-reference columns the replay engines consume:
-    ``addr`` (int64 byte addresses), ``is_write`` (bool), ``gap``
-    (float32 compute gaps), plus the geometry-derived ``block``
-    (``addr // block_bytes``) and ``set_id`` (``block % num_sets``)
-    columns.  ``klass`` and the 64 B demand size are trace-level
-    constants, not per-access columns.
+    The decoded per-reference columns the replay engines consume, as
+    five plain lists for the CPython interpreter loop, where scalar list
+    indexing beats NumPy scalar indexing several-fold: ``addr_list``
+    (int byte addresses), ``write_list`` (bool), ``gap_list`` (float
+    compute gaps), and the geometry-derived ``block_list``
+    (``addr // block_bytes``) and ``set_list`` (``block % num_sets``).
+    Each list equals the ``tolist()`` of its NumPy column, value for
+    value and type for type, but holds **one object per distinct
+    value**: a full-scale GPU trace of 150,000 references has 65,536
+    distinct addresses and 7 distinct gaps, and a reference stores a
+    pointer, not its own ``int``/``float``.  ``addr``/``is_write``/``gap``
+    are the trace's own arrays; ``klass`` and the 64 B demand size are
+    trace-level constants, not per-access columns.
 
-    All columns are built **once** per trace object and geometry with
-    vectorized NumPy and cached on the :class:`Trace` (see
-    :meth:`Trace.columns`), so simulations that replay the same
-    ``Trace`` object share one decode.  A sweep builds a fresh mix per
-    cell, so there each cell decodes its own traces.  The ``*_list``
-    twins are plain-list views of the same columns for the CPython
-    interpreter loop, where scalar list indexing beats NumPy scalar
-    indexing several-fold.
+    All columns are built **once** per trace object and geometry and
+    cached on the :class:`Trace` (see :meth:`Trace.columns`), so
+    simulations that replay the same ``Trace`` object share one decode.
+    A sweep builds a fresh mix per cell, so there each cell decodes its
+    own traces.
     """
 
-    __slots__ = ("addr", "is_write", "gap", "block", "set_id",
-                 "addr_list", "write_list", "gap_list", "block_list",
-                 "set_list")
+    __slots__ = ("addr", "is_write", "gap", "addr_list", "write_list",
+                 "gap_list", "block_list", "set_list")
 
     def __init__(self, trace: "Trace", block_bytes: int,
                  num_sets: int) -> None:
         self.addr = trace.addrs
         self.is_write = trace.writes
         self.gap = trace.gaps
-        self.block = trace.addrs // block_bytes
-        self.set_id = self.block % num_sets
-        self.addr_list = self.addr.tolist()
-        self.write_list = self.is_write.tolist()
-        self.gap_list = self.gap.tolist()
-        self.block_list = self.block.tolist()
-        self.set_list = self.set_id.tolist()
+        # Distinct values and, per reference, the index of its value.
+        # Blocks are found among the distinct addresses and sets among
+        # the distinct blocks, not among all references; indexing one
+        # index array by the other maps each reference to them.
+        addrs, addr_at = np.unique(trace.addrs, return_inverse=True)
+        blocks, block_at = np.unique(addrs // block_bytes,
+                                     return_inverse=True)
+        sets, set_at = np.unique(blocks % num_sets, return_inverse=True)
+        block_at = block_at[addr_at]
+        gaps, gap_at = np.unique(trace.gaps, return_inverse=True)
+        self.addr_list = self._shared_list(addrs, addr_at)
+        self.write_list = trace.writes.tolist()
+        self.gap_list = self._shared_list(gaps, gap_at)
+        self.block_list = self._shared_list(blocks, block_at)
+        self.set_list = self._shared_list(sets, set_at[block_at])
+
+    @staticmethod
+    def _shared_list(values: np.ndarray, at: np.ndarray) -> list:
+        """``values[at].tolist()`` holding one object per entry of
+        ``values``.
+
+        ``astype(object)`` makes one ``int``/``float`` per distinct
+        value, the one ``tolist()`` would make, and indexing the object
+        array copies references to it, not the value (bools are shared
+        already: ``True``/``False`` are singletons).
+        """
+        return values.astype(object)[at].tolist()
 
 
 class Trace:

@@ -92,6 +92,16 @@ def mix_recipe(name: str) -> tuple[tuple[str, ...], str, int]:
     return cpu_names, gpu_name, 7919
 
 
+def check_seed(seed: int) -> None:
+    """Raise ``ValueError`` for a negative mix seed.
+
+    NumPy refuses negative seeds only once a trace is generated, and a
+    custom spec's salt (7919) would hide seeds down to -7 entirely.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def fill_copies(name: str) -> int:
     """Copies per CPU workload that fill the 8 CPU cores for mix
     ``name`` (``CPU_COPIES`` for every Table II and LLM mix); raises
@@ -111,8 +121,10 @@ def build_mix(name: str, *, cpu_refs: int = 15_000, gpu_refs: int = 150_000,
     defaults to :func:`fill_copies`.  An LLM mix's GPU side is a KV-cache
     stream whose region base is aligned to the request stride, so the
     layer/token address arithmetic of :mod:`repro.traces.llm` holds.
+    A negative ``seed`` raises ``ValueError`` (:func:`check_seed`).
     """
     cpu_names, gpu_name, salt = mix_recipe(name)
+    check_seed(seed)
     if cpu_copies is None:
         cpu_copies = fill_copies(name)
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main, make_parser
 from repro.experiments import runner
+from repro.service.server import CampaignServer
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +220,30 @@ USAGE_ERROR_CASES = [
      "repro config: --set expects key=value"),
     (("sweep", "--mixes", "C1", "--faults", "explode"),
      "repro sweep: --faults: unknown fault kind 'explode'"),
+    (("sweep", "--mixes", "C1", "--retries", "-1"),
+     "repro sweep: retry count must be >= 0, got -1"),
+    (("compare", "--retries", "-1"),
+     "repro compare: retry count must be >= 0, got -1"),
+    (("sweep", "--mixes", "C1", "--timeout", "-1"),
+     "repro sweep: job_timeout must be >= 0 seconds, got -1.0"),
+    (("compare", "--timeout", "-1"),
+     "repro compare: job_timeout must be >= 0 seconds, got -1.0"),
+    (("sweep", "--chaos", "--timeout", "-1"),
+     "repro sweep: job_timeout must be >= 0 seconds, got -1.0"),
+    (("run", "--seed", "-1"), "repro run: seed must be >= 0, got -1"),
+    (("compare", "--mix", "gcc-xz:lud", "--seed", "-7"),
+     "repro compare: seed must be >= 0, got -7"),
+    (("fig", "table2", "--seed", "-1"),
+     "repro fig: seed must be >= 0, got -1"),
+    (("submit", "--seed", "-1"), "repro submit: seed must be >= 0, got -1"),
+    (("serve", "--port", "0", "--batch-cells", "0"),
+     "repro serve: batch_cells must be >= 1, got 0"),
+    (("serve", "--port", "0", "--max-queued-cells", "0"),
+     "repro serve: max_queued_cells must be >= 1, got 0"),
+    (("serve", "--port", "0", "--retries", "-1"),
+     "repro serve: retry count must be >= 0, got -1"),
+    (("serve", "--port", "0", "--timeout", "-1"),
+     "repro serve: job_timeout must be >= 0 seconds, got -1.0"),
 ]
 
 
@@ -229,7 +254,11 @@ def test_usage_error_is_one_line_and_exit_two(argv, line, capsys,
     def simulate(*args, **kw):
         raise AssertionError("a cell simulated despite the usage error")
 
+    def start(self):
+        raise AssertionError("a port was bound despite the usage error")
+
     monkeypatch.setattr(runner, "simulate", simulate)
+    monkeypatch.setattr(CampaignServer, "start", start)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2

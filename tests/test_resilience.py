@@ -9,13 +9,14 @@ the end-to-end ``repro sweep --chaos`` acceptance check.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import threading
 import time
 from dataclasses import replace
 
 import pytest
 
-from repro import faults
+from repro import api, faults
 from repro.cli import main as cli_main
 from repro.config import default_system
 from repro.engine.batch import FastSimulation
@@ -118,6 +119,24 @@ def test_time_limit_none_is_noop():
         pass
     with time_limit(0, "zero"):
         pass
+
+
+def test_time_limit_that_cannot_arm_restores_the_handler():
+    before = signal.getsignal(signal.SIGALRM)
+    with pytest.raises(OSError):
+        with time_limit(-1.0, "negative"):
+            pass
+    assert signal.getsignal(signal.SIGALRM) is before
+
+
+@pytest.mark.parametrize("budget", [-1, -0.5, float("nan")])
+def test_engine_refuses_a_negative_job_budget(budget):
+    with pytest.raises(ValueError, match="job_timeout must be >= 0"):
+        SweepEngine(job_timeout=budget)
+    with pytest.raises(ValueError, match="job_timeout must be >= 0"):
+        api.sweep(mixes=["C1"], designs=("waypart",), job_timeout=budget)
+    assert SweepEngine(job_timeout=0).job_timeout == 0
+    assert SweepEngine(job_timeout=None).job_timeout is None
 
 
 def test_failure_from_kinds():

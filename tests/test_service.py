@@ -409,6 +409,22 @@ def test_restart_keeps_row_order_whichever_store_holds_results(tmp_path,
         assert list(client.stream(job_id)) == rows
 
 
+def refused_unjournaled(tmp_path, spec: CampaignSpec) -> ServiceError:
+    """Submit ``spec``; assert a 400 that ran, queued and journaled
+    nothing, and return the client's error."""
+    with serve_in_thread(port=0, workers=1,
+                         journal=tmp_path / "journal") as handle:
+        client = ServiceClient(handle.host, handle.port, retry=None)
+        with pytest.raises(ServiceError) as exc:
+            client.submit(spec)
+        assert exc.value.status == 400
+        assert handle.server.engine.report.submitted == 0
+        assert client.health()["jobs"] == 0
+    records = Journal(tmp_path / "journal").replay()
+    assert [r for r in records if r["type"] == "campaign"] == []
+    return exc.value
+
+
 @pytest.mark.parametrize("field, unknown, known", [
     ("mixes", "unknown mix 'C99'", "kvcache"),
     ("designs", "unknown design 'nosuch'", "waypart")])
@@ -416,16 +432,18 @@ def test_unknown_names_get_a_400_and_are_never_journaled(tmp_path, field,
                                                         unknown, known):
     bad = {"mixes": ("C1",), "designs": ("waypart",),
            field: (unknown.split("'")[1],)}
-    with serve_in_thread(port=0, workers=1,
-                         journal=tmp_path / "journal") as handle:
-        client = ServiceClient(handle.host, handle.port, retry=None)
-        with pytest.raises(ServiceError, match=unknown) as exc:
-            client.submit(CampaignSpec(**bad, **TINY))
-        assert exc.value.status == 400 and known in str(exc.value)
-        assert handle.server.engine.report.submitted == 0
-        assert client.health()["jobs"] == 0
-    records = Journal(tmp_path / "journal").replay()
-    assert [r for r in records if r["type"] == "campaign"] == []
+    error = refused_unjournaled(tmp_path, CampaignSpec(**bad, **TINY))
+    assert unknown in str(error) and known in str(error)
+
+
+@pytest.mark.parametrize("mix", ["C1", "gcc-xz:lud"])
+def test_negative_seed_gets_a_400_and_is_never_journaled(tmp_path, mix):
+    # A custom spec's seed salt (7919) keeps seeds down to -7 valid for
+    # numpy, so only the mix recipe's own check refuses them.
+    spec = CampaignSpec(mixes=(mix,), designs=("waypart",), scale=0.02,
+                        seed=-3)
+    assert "seed must be >= 0, got -3" in str(
+        refused_unjournaled(tmp_path, spec))
 
 
 def test_journal_store_backs_a_server_with_caching_off(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CACHELINE, KB, MB
+from repro.config import CACHELINE, KB, MB, SystemConfig
+from repro.experiments.sweep import MixSpec
 from repro.traces.base import TraceSpec, characterize, generate_trace
 from repro.traces.cpu import CPU_SPECS, cpu_spec
 from repro.traces.gpu import GPU_SPECS, gpu_spec
@@ -155,6 +156,16 @@ def test_unknown_mix_raises():
         build_mix("C99")
 
 
+@pytest.mark.parametrize("name, seed", [("C1", -1), ("kvcache", -2),
+                                        ("gcc-xz:lud", -7)])
+def test_negative_seed_raises_naming_it(name, seed):
+    # A custom spec's salt (7919) keeps seeds down to -7 valid for numpy.
+    with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+        build_mix(name, cpu_refs=1000, gpu_refs=1000, seed=seed)
+    with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+        MixSpec(name, seed=seed)
+
+
 #: SHA-256 over every trace of a mix (name, class, base, footprint and
 #: the address/write/gap columns) at seed 7, scale 0.02: two Table II
 #: mixes, two LLM mixes, and custom specs of one to four CPU workloads.
@@ -186,6 +197,25 @@ def test_mix_traces_match_their_pinned_digest(name):
         for column in (tr.addrs, tr.writes, tr.gaps):
             h.update(column.tobytes())
     assert h.hexdigest() == MIX_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["C1", "kvcache"])
+def test_trace_columns_hold_each_distinct_value_once(name):
+    cfg = SystemConfig()
+    block_bytes, num_sets = cfg.hybrid.block, cfg.num_sets
+    for tr in build_mix(name, seed=7, scale=0.02).traces:
+        cols = tr.columns(block_bytes, num_sets)
+        assert tr.columns(block_bytes, num_sets) is cols
+        blocks = tr.addrs // block_bytes
+        decoded = {"addr_list": tr.addrs, "write_list": tr.writes,
+                   "gap_list": tr.gaps, "block_list": blocks,
+                   "set_list": blocks % num_sets}
+        for attr, column in decoded.items():
+            values = getattr(cols, attr)
+            want = column.tolist()
+            assert [(type(v), v) for v in values] == \
+                [(type(v), v) for v in want], attr
+            assert len({id(v) for v in values}) == len(set(values)), attr
 
 
 @settings(max_examples=20, deadline=None)
