@@ -4,11 +4,10 @@
 Walks the public surface — ``repro.__all__`` and
 ``repro.experiments.__all__`` — and fails (non-zero exit) if any public
 class/function lacks a docstring or is never mentioned in
-``docs/api.md``.  Also executes every ```python snippet of the guide
-pages listed in ``EXECUTED_DOCS`` (currently ``docs/workloads.md``,
-``docs/sanitize.md`` and ``docs/service.md``; ``docs/api.md`` snippets
-run via ``tests/test_doc_snippets.py``), so a guide whose examples rot
-fails the build.  Run directly
+``docs/api.md``.  Also executes every ```python snippet of the pages
+listed in ``EXECUTED_DOCS`` (``docs/api.md``, ``docs/workloads.md``,
+``docs/sanitize.md`` and ``docs/service.md``), so a page whose examples
+rot fails the build.  Run directly
 (``python scripts/check_docs.py``) or via the tier-1 suite
 (``tests/test_check_docs.py``).
 """
@@ -23,9 +22,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 API_DOC = REPO / "docs" / "api.md"
 
-#: Guide pages whose ```python blocks must execute (shared namespace
-#: per page, top to bottom — pages may build on their own snippets).
-EXECUTED_DOCS = (REPO / "docs" / "workloads.md",
+#: Pages whose ```python blocks must execute (shared namespace per
+#: page, top to bottom — pages may build on their own snippets).
+EXECUTED_DOCS = (API_DOC,
+                 REPO / "docs" / "workloads.md",
                  REPO / "docs" / "sanitize.md",
                  REPO / "docs" / "service.md")
 

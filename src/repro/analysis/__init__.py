@@ -37,10 +37,10 @@ from repro.analysis.statskeys import StatsKeyRegistryRule
 from repro.analysis.style import (LineLengthRule, UnusedImportRule,
                                   WhitespaceRule)
 
-#: The ten domain rules (always on) in reporting order.  SEED01,
-#: ISO01 and FLT01 are the dataflow tier (repro.analysis.dataflow):
-#: semantic checks on seed provenance, cross-cell state isolation, and
-#: float accumulation order.
+#: The ten domain rules (always on) in reporting order.  They share one
+#: vocabulary from repro.analysis.framework (simulation-state paths,
+#: unordered iterables, mutable containers, RNG seeds); SEED01 adds the
+#: intraprocedural dataflow of repro.analysis.dataflow.
 DOMAIN_RULES = (DeterminismRule, SeedFlowRule, StateIsolationRule,
                 FloatOrderRule, TelemetryPurityRule,
                 SweepPicklabilityRule, StatsKeyRegistryRule,

@@ -66,38 +66,32 @@ class PrivateImportRule(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom) and node.level == 0 \
                     and node.module:
-                source = tuple(node.module.split("."))
+                sources = [node.module]
+            elif isinstance(node, ast.Import):
+                sources = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in sources:
+                source = tuple(name.split("."))
                 if source[0] != "repro":
                     continue
                 # Private module segments in the source path: legal only
                 # when the private module lives in the importer's own
                 # package (e.g. repro.engine._kernels from repro/engine/).
-                for depth, seg in enumerate(source[1:], start=1):
-                    if _is_private(seg) and source[:depth] != own_pkg:
-                        yield self.finding(
-                            module, node,
-                            f"import from private module {node.module}; "
-                            f"only {'.'.join(source[:depth])} may reach "
-                            f"inside it — use a public name")
-                        break
-                else:
+                depth = next((d for d, seg in enumerate(source[1:], start=1)
+                              if _is_private(seg) and source[:d] != own_pkg),
+                             0)
+                if depth:
+                    yield self.finding(
+                        module, node,
+                        f"import of private module {name}; only "
+                        f"{'.'.join(source[:depth])} may reach inside it "
+                        f"— use a public name")
+                elif isinstance(node, ast.ImportFrom) and source != own_pkg:
                     for alias in node.names:
-                        if _is_private(alias.name) and source != own_pkg:
+                        if _is_private(alias.name):
                             yield self.finding(
                                 module, node,
                                 f"cross-module import of private "
-                                f"{node.module}.{alias.name}; promote it "
-                                f"or use the public name")
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    source = tuple(alias.name.split("."))
-                    if source[0] != "repro":
-                        continue
-                    for depth, seg in enumerate(source[1:], start=1):
-                        if _is_private(seg) and source[:depth] != own_pkg:
-                            yield self.finding(
-                                module, node,
-                                f"import of private module {alias.name}; "
-                                f"only {'.'.join(source[:depth])} may "
-                                f"reach inside it — use a public name")
-                            break
+                                f"{name}.{alias.name}; promote it or use "
+                                f"the public name")

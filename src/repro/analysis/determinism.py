@@ -12,7 +12,8 @@ This rule bans the constructs that silently break that property:
   ``random.randint(...)``, ``np.random.rand(...)``, ... — the module
   level generators share hidden global state across components;
 * **wall-clock / OS entropy in simulation state** (paths under
-  ``core/``, ``engine/``, ``hybrid/``, ``mem/``): ``time.time()``,
+  ``core/``, ``engine/``, ``hybrid/``, ``mem/``: the framework's
+  :data:`~repro.analysis.framework.SIM_STATE_DIRS`): ``time.time()``,
   ``time.perf_counter()``, ``datetime.now()``, ``os.urandom()``,
   ``uuid.uuid4()`` and friends;
 * **iteration over bare sets in simulation state** (same paths): the
@@ -26,15 +27,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.framework import Finding, Module, Rule, dotted_name
-
-#: Path components that mark a module as simulation state: nondeterminism
-#: there changes results, not just logs.
-SIM_STATE_DIRS = frozenset({"core", "engine", "hybrid", "mem"})
-
-#: numpy generator constructors: flagged only when called with no seed
-#: argument (the seed must be threaded in, never defaulted).
-_NP_CTORS = {"default_rng", "RandomState", "Generator"}
+from repro.analysis.framework import (RNG_CTORS, SIM_STATE_DIRS, Finding,
+                                      Module, Rule, dotted_name,
+                                      loop_iterables, seed_arg, unordered)
 
 #: Wall-clock / entropy calls banned inside simulation-state paths.
 _WALLCLOCK = {
@@ -46,30 +41,6 @@ _WALLCLOCK = {
     ("os", "urandom"),
     ("uuid", "uuid1"), ("uuid", "uuid4"),
 }
-
-
-def _is_np_random(chain: tuple[str, ...]) -> bool:
-    return (len(chain) >= 3 and chain[0] in ("np", "numpy")
-            and chain[1] == "random")
-
-
-def _seed_args(call: ast.Call) -> bool:
-    """Whether a generator constructor call carries any seed argument."""
-    return bool(call.args) or any(kw.arg in (None, "seed", "x")
-                                  for kw in call.keywords)
-
-
-def set_expr(node: ast.AST) -> bool:
-    """Expression whose value is statically known to be a bare set."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and node.func.id in ("set", "frozenset"):
-        return True
-    if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
-        return set_expr(node.left) or set_expr(node.right)
-    return False
 
 
 class DeterminismRule(Rule):
@@ -88,30 +59,28 @@ class DeterminismRule(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, node, scoped)
-            elif scoped and isinstance(node, (ast.For, ast.AsyncFor)):
-                if set_expr(node.iter):
-                    yield self._set_iter(module, node.iter)
-            elif scoped and isinstance(node, (ast.ListComp, ast.SetComp,
-                                              ast.DictComp,
-                                              ast.GeneratorExp)):
-                for gen in node.generators:
-                    if set_expr(gen.iter):
-                        yield self._set_iter(module, gen.iter)
+        if scoped:
+            for iterable in loop_iterables(module.tree):
+                if unordered(iterable, dict_views=False):
+                    yield self.finding(
+                        module, iterable,
+                        "iteration over a bare set feeds simulation state "
+                        "in arbitrary (per-process-salted) order; sort or "
+                        "rank the members first")
 
     def _check_call(self, module: Module, call: ast.Call,
                     scoped: bool) -> Iterator[Finding]:
         chain = dotted_name(call.func)
         if not chain:
             return
-        if chain[0] == "random" and len(chain) == 2:
-            attr = chain[1]
-            if attr == "Random":
-                if not _seed_args(call):
-                    yield self.finding(
-                        module, call,
-                        "unseeded random.Random(): pass the plumbed-in "
-                        "seed so runs replay deterministically")
-            elif attr == "SystemRandom":
+        if chain in RNG_CTORS:
+            if seed_arg(call) is None:
+                yield self.finding(
+                    module, call,
+                    f"unseeded {'.'.join(chain)}(): pass the plumbed-in "
+                    f"seed so runs replay deterministically")
+        elif chain[0] == "random" and len(chain) == 2:
+            if chain[1] == "SystemRandom":
                 yield self.finding(
                     module, call,
                     "random.SystemRandom draws OS entropy and can never "
@@ -119,31 +88,17 @@ class DeterminismRule(Rule):
             else:
                 yield self.finding(
                     module, call,
-                    f"random.{attr}() uses the process-global RNG; use a "
-                    f"constructor-seeded random.Random instance")
-        elif _is_np_random(chain):
-            attr = chain[2]
-            if attr in _NP_CTORS:
-                if not _seed_args(call):
-                    yield self.finding(
-                        module, call,
-                        f"unseeded np.random.{attr}(): pass the "
-                        f"plumbed-in seed")
-            else:
-                yield self.finding(
-                    module, call,
-                    f"np.random.{attr}() uses numpy's global RNG; use a "
-                    f"seeded np.random.default_rng(seed)")
+                    f"random.{chain[1]}() uses the process-global RNG; "
+                    f"use a constructor-seeded random.Random instance")
+        elif (len(chain) >= 3 and chain[0] in ("np", "numpy")
+                and chain[1] == "random"):
+            yield self.finding(
+                module, call,
+                f"np.random.{chain[2]}() uses numpy's global RNG; use a "
+                f"seeded np.random.default_rng(seed)")
         elif scoped and len(chain) >= 2 and chain[-2:] in _WALLCLOCK:
             yield self.finding(
                 module, call,
                 f"{'.'.join(chain)}() reads the wall clock / OS entropy "
                 f"inside simulation state; derive time from the event "
                 f"queue and randomness from a seeded RNG")
-
-    def _set_iter(self, module: Module, node: ast.AST) -> Finding:
-        return self.finding(
-            module, node,
-            "iteration over a bare set feeds simulation state in "
-            "arbitrary (per-process-salted) order; sort or rank the "
-            "members first")

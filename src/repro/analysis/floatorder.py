@@ -28,8 +28,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.determinism import SIM_STATE_DIRS, set_expr
-from repro.analysis.framework import Finding, Module, Rule, dotted_name
+from repro.analysis.framework import (SIM_STATE_DIRS, Finding, Module, Rule,
+                                      dotted_name, unordered)
 
 #: Accumulator call chains whose result depends on operand order.
 _SUM_CALLS = frozenset({
@@ -38,37 +38,17 @@ _SUM_CALLS = frozenset({
     ("np", "nansum"), ("numpy", "nansum"),
 })
 
-_DICT_VIEWS = frozenset({"values", "keys", "items"})
-
-
-def _dict_view(node: ast.AST) -> bool:
-    """``x.values()`` / ``.keys()`` / ``.items()`` with no arguments."""
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _DICT_VIEWS
-            and not node.args and not node.keywords)
-
-
-def _sorted_wrap(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "sorted")
-
 
 def _unordered(node: ast.AST) -> str | None:
-    """Why ``node`` iterates in unordered/engine-dependent order."""
-    if set_expr(node):
-        return "a bare set"
-    if _sorted_wrap(node):
-        return None
-    if _dict_view(node):
-        return "an unsorted dict view"
-    if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+    """Why folding over ``node`` has no reproducible order: the
+    iterable itself, or a source of the comprehension that builds it."""
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp)):
         for gen in node.generators:
             reason = _unordered(gen.iter)
             if reason:
                 return reason
-    return None
+        return None
+    return unordered(node, dict_views=True)
 
 
 class FloatOrderRule(Rule):

@@ -12,9 +12,16 @@ the machinery to machine-check such properties on every PR:
   whole tree (e.g. the stats-key registry);
 * :func:`run_rules` — the driver: walks paths, parses each Python file
   once, feeds every rule, honours ``# noqa`` / ``# noqa: RULE``
-  suppressions, and returns findings sorted by location.
+  suppressions on the line a finding is reported at, and returns
+  findings sorted by location;
+* the domain rules' shared vocabulary — which files are simulation
+  state (:data:`SIM_STATE_DIRS`), which iterables have no reproducible
+  order (:func:`unordered`, :func:`loop_iterables`), which values are
+  fresh mutable containers (:func:`mutable_container`), and where an
+  RNG constructor takes its seed (:data:`RNG_CTORS`, :func:`seed_arg`).
 
-Concrete rules live in the sibling modules (``determinism``, ``purity``,
+Concrete rules live in the sibling modules (``determinism``,
+``seedflow``, ``isolation``, ``floatorder``, ``purity``,
 ``picklability``, ``statskeys``, ``mutables``, ``apiusage``,
 ``robustness``, ``style``); the CLI entry point is ``repro lint``.
 """
@@ -60,7 +67,9 @@ class Module:
 
     Parsing and the node->parent map are computed once per file and
     shared by all rules; ``rel`` is the path as given (posix form), used
-    both for reporting and for directory-scoped checks.
+    both for reporting and for directory-scoped checks.  ``noqa`` maps
+    each line carrying a marker to the rule ids it suppresses (None for
+    a bare ``# noqa``); a marker covers its own line only.
     """
 
     def __init__(self, path: Path, rel: str, source: str,
@@ -72,7 +81,6 @@ class Module:
         self.tree = tree
         self._parents: dict[ast.AST, ast.AST] | None = None
         self.noqa = _parse_noqa(self.lines)
-        self._noqa_spans: dict[int, set[str] | None] | None = None
 
     def parent(self, node: ast.AST) -> ast.AST | None:
         """Enclosing AST node of ``node`` (None for the module root)."""
@@ -85,62 +93,6 @@ class Module:
     def parts(self) -> tuple[str, ...]:
         """Path components of ``rel`` (for directory-scoped rules)."""
         return tuple(Path(self.rel).parts)
-
-    def suppressions(self, line: int) -> set[str] | None | str:
-        """Effective ``# noqa`` state for findings anchored at ``line``.
-
-        A multi-line statement is one suppression scope: a marker on
-        *any* line of its span (for compound statements, the header up
-        to the first body statement) reaches findings reported at any
-        other line of that span — so ``# noqa`` on the closing paren of
-        a wrapped call suppresses the finding at the call's first line.
-        Returns the suppressed-rule set, ``None`` for suppress-all, or
-        ``"absent"`` when no marker applies.
-        """
-        direct = self.noqa.get(line, "absent")
-        if direct != "absent":
-            return direct
-        if self._noqa_spans is None:
-            self._noqa_spans = self._expand_noqa_spans()
-        return self._noqa_spans.get(line, "absent")
-
-    def _expand_noqa_spans(self) -> dict[int, set[str] | None]:
-        """Propagate noqa markers across statement line spans.
-
-        Simple statements span ``lineno..end_lineno``; compound
-        statements (def/if/for/...) contribute only their header span —
-        a marker inside the body must not silence findings on the
-        header, and vice versa.
-        """
-        if not self.noqa:
-            return {}
-        out: dict[int, set[str] | None] = {}
-        for node in ast.walk(self.tree):
-            if not isinstance(node, ast.stmt):
-                continue
-            start = node.lineno
-            child_lines = [c.lineno for c in ast.iter_child_nodes(node)
-                           if isinstance(c, ast.stmt)]
-            end = (min(child_lines) - 1 if child_lines
-                   else (node.end_lineno or start))
-            if end <= start:
-                continue  # single-line statement: exact-line map suffices
-            marks = [self.noqa[i] for i in range(start, end + 1)
-                     if i in self.noqa]
-            if not marks:
-                continue
-            merged: set[str] | None = None  # bare noqa: suppress all
-            if all(m is not None for m in marks):
-                merged = {r for m in marks if m is not None for r in m}
-            for i in range(start, end + 1):
-                existing = out.get(i)
-                if i not in out:
-                    out[i] = set(merged) if merged is not None else None
-                elif existing is None or merged is None:
-                    out[i] = None
-                else:
-                    existing.update(merged)
-        return out
 
 
 class Rule:
@@ -229,11 +181,10 @@ def load_module(path: Path) -> Module | Finding:
 
 
 def _suppressed(finding: Finding, module: Module | None) -> bool:
-    if module is None:
+    """Whether a ``# noqa`` on the finding's own line covers its rule."""
+    if module is None or finding.line not in module.noqa:
         return False
-    rules = module.suppressions(finding.line)
-    if rules == "absent":
-        return False
+    rules = module.noqa[finding.line]
     return rules is None or finding.rule_id.upper() in rules
 
 
@@ -288,4 +239,98 @@ def str_const(node: ast.AST) -> str | None:
     """The value of a string-constant node, else None."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
+    return None
+
+
+# -- the domain rules' shared vocabulary -------------------------------------
+
+#: Path components that mark a module as simulation state: nondeterminism
+#: or shared state there changes results, not just logs.
+SIM_STATE_DIRS = frozenset({"core", "engine", "hybrid", "mem"})
+
+#: Constructors whose call builds a fresh mutable container.
+MUTABLE_CTORS = frozenset({
+    "list", "dict", "set", "bytearray", "deque", "defaultdict",
+    "OrderedDict", "Counter", "ChainMap", "array",
+})
+
+#: RNG constructor call chains; each takes its seed as :func:`seed_arg`.
+RNG_CTORS = frozenset({
+    ("random", "Random"),
+    ("np", "random", "default_rng"), ("numpy", "random", "default_rng"),
+    ("np", "random", "RandomState"), ("numpy", "random", "RandomState"),
+    ("np", "random", "Generator"), ("numpy", "random", "Generator"),
+})
+
+_SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+
+
+def unordered(node: ast.AST, *, dict_views: bool) -> str | None:
+    """Why iterating ``node`` has no reproducible order, else None.
+
+    A bare set (literal, comprehension, ``set()``/``frozenset()`` call,
+    or set algebra with one as an operand) always counts: its order is
+    salted per process.  With ``dict_views``, so does an argument-free
+    ``.items()``/``.keys()``/``.values()``, whose order is insertion
+    order.  ``sorted(...)`` around either fixes the order.
+    """
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return "a bare set"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
+        return (unordered(node.left, dict_views=dict_views)
+                or unordered(node.right, dict_views=dict_views))
+    if not isinstance(node, ast.Call):
+        return None
+    if isinstance(node.func, ast.Name) \
+            and node.func.id in ("set", "frozenset"):
+        return "a bare set"
+    if dict_views and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in ("items", "keys", "values") \
+            and not node.args and not node.keywords:
+        return f"an unsorted .{node.func.attr}() view"
+    return None
+
+
+def loop_iterables(tree: ast.AST) -> Iterator[ast.expr]:
+    """The iterated expression of every ``for`` loop and comprehension."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            yield node.iter
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            for gen in node.generators:
+                yield gen.iter
+
+
+def mutable_container(node: ast.AST | None) -> str | None:
+    """The kind of fresh mutable container ``node`` builds, else None.
+
+    List, dict and set displays and comprehensions count, and so does a
+    call to a :data:`MUTABLE_CTORS` constructor, bare or qualified
+    (``deque()``, ``collections.deque()``).
+    """
+    if isinstance(node, (ast.List, ast.ListComp)):
+        return "list"
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return "dict"
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return "set"
+    if isinstance(node, ast.Call):
+        chain = dotted_name(node.func)
+        if chain and chain[-1] in MUTABLE_CTORS:
+            return f"{chain[-1]}()"
+    return None
+
+
+def seed_arg(call: ast.Call) -> ast.expr | None:
+    """The expression an RNG constructor call takes its seed from.
+
+    The first positional argument, else a ``seed=``/``x=`` keyword or
+    ``**kwargs``; None when the call is unseeded.
+    """
+    if call.args:
+        return call.args[0]
+    for kw in call.keywords:
+        if kw.arg in (None, "seed", "x"):
+            return kw.value
     return None

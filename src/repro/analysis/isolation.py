@@ -7,9 +7,10 @@ is state that outlives a cell: a module-level container one cell
 mutates and the next reads, or a class-level mutable attribute every
 instance aliases.  ISO01 statically bans those shapes in every
 simulation-state module (under ``core/``, ``engine/``, ``hybrid/`` or
-``mem/`` — DET01's :data:`~repro.analysis.determinism.SIM_STATE_DIRS`):
+``mem/`` — :data:`~repro.analysis.framework.SIM_STATE_DIRS`):
 
-* module-level assignment of a mutable container (list/dict/set/...);
+* module-level assignment of a mutable container (list/dict/set/...,
+  as :func:`~repro.analysis.framework.mutable_container` decides);
 * class-level mutable attribute in a class body (shared by instances);
 * mutation of a module-level name from function scope (``global`` +
   rebind, ``x[...] = ...``, ``x.append(...)``, ``x += ...``) — the
@@ -24,14 +25,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.determinism import SIM_STATE_DIRS
-from repro.analysis.framework import Finding, Module, Rule
-
-#: Constructor names whose result is a shared-mutable container.
-_MUTABLE_CTORS = frozenset({
-    "list", "dict", "set", "bytearray", "deque", "defaultdict",
-    "OrderedDict", "Counter", "ChainMap", "array",
-})
+from repro.analysis.framework import (SIM_STATE_DIRS, Finding, Module, Rule,
+                                      mutable_container)
 
 #: In-place mutator method names on containers.
 _MUTATOR_METHODS = frozenset({
@@ -39,20 +34,6 @@ _MUTATOR_METHODS = frozenset({
     "add", "discard", "update", "setdefault", "appendleft", "extendleft",
     "sort", "reverse", "popleft",
 })
-
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set,
-                     ast.ListComp, ast.DictComp, ast.SetComp)
-
-
-def _mutable_value(node: ast.AST | None) -> bool:
-    """Whether an assigned value is statically a mutable container."""
-    if node is None:
-        return False
-    if isinstance(node, _MUTABLE_LITERALS):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in _MUTABLE_CTORS
-    return False
 
 
 class StateIsolationRule(Rule):
@@ -98,7 +79,7 @@ class StateIsolationRule(Rule):
     def _check_module_stmt(self, module: Module,
                            stmt: ast.stmt) -> Iterator[Finding]:
         value, targets = self._assignment(stmt)
-        if not _mutable_value(value):
+        if not mutable_container(value):
             return
         names = [t.id for t in targets if isinstance(t, ast.Name)]
         if names and all(n.startswith("__") for n in names):
@@ -113,7 +94,7 @@ class StateIsolationRule(Rule):
                           cls: ast.ClassDef) -> Iterator[Finding]:
         for stmt in cls.body:
             value, targets = self._assignment(stmt)
-            if not _mutable_value(value):
+            if not mutable_container(value):
                 continue
             names = [t.id for t in targets if isinstance(t, ast.Name)]
             yield self.finding(

@@ -3,19 +3,19 @@
 A mutable default argument (``def f(x, acc=[])``) is evaluated once and
 shared across calls — in a simulator that means state silently leaking
 between supposedly independent runs, the exact failure mode the sweep
-engine's bit-identical guarantee forbids.  The rule flags list / dict /
-set / comprehension defaults and calls to known mutable constructors
-(``list()``, ``dict()``, ``set()``, ``defaultdict()``, ``deque()``,
-``Counter()``, ``OrderedDict()``, ``bytearray()``).
+engine's bit-identical guarantee forbids.  The rule flags every default
+that :func:`~repro.analysis.framework.mutable_container` recognizes:
+list / dict / set displays and comprehensions and calls to the mutable
+constructors (``list()``, ``deque()``, ``collections.ChainMap()``, ...).
 
 The second half guards the *hashing paths* — modules whose output must
 be canonical across processes and Python builds (``hybrid/remap.py``,
 ``experiments/cache.py``, ``experiments/sweep.py``, ``config_io.py``):
-iterating a dict view (``.items()`` / ``.keys()`` / ``.values()``) or a
-set there without wrapping it in ``sorted(...)`` bakes insertion /
-salt-dependent order into digests and cache keys.  ``config_digest``
-and ``freeze_kw`` exist precisely because of this; the rule keeps the
-property from regressing.
+a loop or comprehension there over a dict view (``.items()`` /
+``.keys()`` / ``.values()``), a set or set algebra not wrapped in
+``sorted(...)`` bakes insertion / salt-dependent order into digests and
+cache keys.  ``config_digest`` and ``freeze_kw`` exist precisely
+because of this; the rule keeps the property from regressing.
 """
 
 from __future__ import annotations
@@ -23,47 +23,13 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.framework import Finding, Module, Rule
-
-#: Constructors whose zero-state calls produce fresh mutable objects.
-MUTABLE_CTORS = frozenset({"list", "dict", "set", "defaultdict", "deque",
-                           "Counter", "OrderedDict", "bytearray"})
+from repro.analysis.framework import (Finding, Module, Rule,
+                                      loop_iterables, mutable_container,
+                                      unordered)
 
 #: Module suffixes whose iteration order feeds digests / cache keys.
 HASHING_PATH_SUFFIXES = ("hybrid/remap.py", "experiments/cache.py",
                          "experiments/sweep.py", "config_io.py")
-
-_DICT_VIEWS = frozenset({"items", "keys", "values"})
-
-
-def _mutable_default(node: ast.AST) -> str | None:
-    """Describe a mutable default expression, or None if safe."""
-    if isinstance(node, (ast.List, ast.ListComp)):
-        return "list"
-    if isinstance(node, (ast.Dict, ast.DictComp)):
-        return "dict"
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "set"
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        if name in MUTABLE_CTORS:
-            return f"{name}()"
-    return None
-
-
-def _unsorted_view(node: ast.AST) -> str | None:
-    """An iterable expression with salt/insertion-dependent order."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            return f"{func.id}(...)"
-        if isinstance(func, ast.Attribute) and func.attr in _DICT_VIEWS:
-            return f".{func.attr}()"
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "set literal"
-    return None
 
 
 class MutableDefaultRule(Rule):
@@ -76,18 +42,20 @@ class MutableDefaultRule(Rule):
                    "sets unsorted (digest/cache-key canonicality)")
 
     def check(self, module: Module) -> Iterable[Finding]:
-        hashing = module.rel.endswith(HASHING_PATH_SUFFIXES)
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda)):
                 yield from self._check_defaults(module, node)
-            elif hashing:
-                if isinstance(node, (ast.For, ast.AsyncFor)):
-                    yield from self._check_iter(module, node.iter)
-                elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                       ast.DictComp, ast.GeneratorExp)):
-                    for gen in node.generators:
-                        yield from self._check_iter(module, gen.iter)
+        if not module.rel.endswith(HASHING_PATH_SUFFIXES):
+            return
+        for iterable in loop_iterables(module.tree):
+            reason = unordered(iterable, dict_views=True)
+            if reason:
+                yield self.finding(
+                    module, iterable,
+                    f"iteration over {reason} in a hashing-path module "
+                    f"bakes nondeterministic order into digests/cache "
+                    f"keys; wrap in sorted(...)")
 
     def _check_defaults(self, module: Module,
                         func: ast.AST) -> Iterator[Finding]:
@@ -95,7 +63,7 @@ class MutableDefaultRule(Rule):
         defaults = list(args.defaults) + [d for d in args.kw_defaults
                                           if d is not None]
         for default in defaults:
-            kind = _mutable_default(default)
+            kind = mutable_container(default)
             if kind is not None:
                 name = getattr(func, "name", "<lambda>")
                 yield self.finding(
@@ -103,13 +71,3 @@ class MutableDefaultRule(Rule):
                     f"mutable default {kind} in {name}(): evaluated "
                     f"once and shared across calls; default to None "
                     f"(or use dataclasses.field(default_factory=...))")
-
-    def _check_iter(self, module: Module,
-                    iterable: ast.AST) -> Iterator[Finding]:
-        kind = _unsorted_view(iterable)
-        if kind is not None:
-            yield self.finding(
-                module, iterable,
-                f"iteration over {kind} in a hashing-path module bakes "
-                f"nondeterministic order into digests/cache keys; wrap "
-                f"in sorted(...)")

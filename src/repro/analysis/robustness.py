@@ -19,11 +19,6 @@ from typing import Iterable
 
 from repro.analysis.framework import Finding, Module, Rule
 
-#: Path suffixes exempt from ROB01 (none today; extend with a comment
-#: explaining each entry, or use ``# noqa: ROB01`` for one-off sites).
-ALLOWED_SITES: tuple[str, ...] = ()
-
-
 def _names(expr: ast.AST | None) -> tuple[str, ...]:
     """Exception class names of an ``except`` clause expression."""
     if expr is None:
@@ -58,8 +53,6 @@ class RobustnessRule(Rule):
 
     def check(self, module: Module) -> Iterable[Finding]:
         if "repro" not in module.parts():
-            return
-        if module.rel.endswith(ALLOWED_SITES) and ALLOWED_SITES:
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ExceptHandler):

@@ -21,20 +21,13 @@ from typing import Iterable
 
 from repro.analysis.dataflow import (Origin, enclosing_function,
                                      expr_origins, function_env)
-from repro.analysis.framework import Finding, Module, Rule, dotted_name
+from repro.analysis.framework import (RNG_CTORS, Finding, Module, Rule,
+                                      dotted_name, seed_arg)
 
 #: Names that identify a value as the threaded-through seed.  Matches
 #: whole underscore-separated components: ``seed``, ``rng_seed``,
 #: ``base_seed``, ``rng``, ``seed0``...; not ``sed`` or ``seedling``.
 SEED_LEXICON = re.compile(r"(?:^|_)(?:seeds?|rngs?)\d*(?:_|$)", re.I)
-
-#: RNG constructor call chains whose seed argument gets provenance-checked.
-_RNG_CTORS = {
-    ("random", "Random"),
-    ("np", "random", "default_rng"), ("numpy", "random", "default_rng"),
-    ("np", "random", "RandomState"), ("numpy", "random", "RandomState"),
-    ("np", "random", "Generator"), ("numpy", "random", "Generator"),
-}
 
 
 def seedworthy(origins: frozenset[Origin]) -> bool:
@@ -73,9 +66,9 @@ class SeedFlowRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             chain = dotted_name(node.func)
-            if chain not in _RNG_CTORS:
+            if chain not in RNG_CTORS:
                 continue
-            seed_expr = self._seed_expr(node)
+            seed_expr = seed_arg(node)
             if seed_expr is None:
                 continue  # unseeded construction is DET01's finding
             fn = enclosing_function(module, node)
@@ -86,13 +79,3 @@ class SeedFlowRule(Rule):
                     f"seed of {'.'.join(chain)}() does not provably flow "
                     f"from a seed-named parameter/attribute or literal; "
                     f"thread the run seed through explicitly")
-
-    @staticmethod
-    def _seed_expr(call: ast.Call) -> ast.AST | None:
-        """The expression supplying the seed, or None if unseeded."""
-        if call.args:
-            return call.args[0]
-        for kw in call.keywords:
-            if kw.arg in (None, "seed", "x"):
-                return kw.value
-        return None

@@ -240,12 +240,11 @@ class StatsKeyRegistryRule(Rule):
     def _undocumented(self, ref: _Ref) -> Finding:
         what = ("delta(keys=...) reference" if ref.kind == "delta"
                 else f"Stats key ({ref.kind} site)")
-        return Finding(
-            path=ref.path, line=ref.line, col=ref.col,
-            rule_id=self.rule_id, severity=self.severity,
-            message=(f"{what} {ref.text!r} is not in docs/telemetry.md's "
-                     f"Stats counter registry; document it or fix the "
-                     f"key"))
+        return self.finding(
+            ref.path, None,
+            f"{what} {ref.text!r} is not in docs/telemetry.md's Stats "
+            f"counter registry; document it or fix the key",
+            line=ref.line, col=ref.col)
 
     def _resolve_docs(self) -> Path | None:
         if self._docs_path is not None:

@@ -14,6 +14,8 @@ Commands
 ``fig``      regenerate one of the paper's figures/tables
 ``traces``   generate and save the traces of a mix (artifact T1)
 ``config``   dump the (possibly overridden) system configuration as JSON
+``report``   summarize a perf.csv (task T3): geomean weighted speedup per
+             design
 ``designs``  list available designs and workloads
 ``lint``     run the AST invariant linter (docs/analysis.md) over paths
 ``sanitize`` replay engines with boundary-state digests and report the
@@ -58,7 +60,7 @@ from repro.traces.cpu import CPU_SPECS
 from repro.traces.gpu import GPU_SPECS
 from repro.traces.io import save_mix
 from repro.traces.llm import LLM_MIX_NAMES, LLM_SPECS
-from repro.traces.mixes import ALL_MIXES, check_seed
+from repro.traces.mixes import ALL_MIXES, check_scale, check_seed
 
 
 def _usage_error(args, message: str) -> NoReturn:
@@ -122,8 +124,9 @@ def _resolve_cli_cache(args, *, default_on: bool):
 
 
 def _check_resilience(args) -> None:
-    """A negative ``--retries`` or ``--timeout`` is a usage error, found
-    by the sweep engine's own checks before any cell runs."""
+    """A negative ``--retries``, or a ``--timeout`` that is negative or
+    too large to arm, is a usage error, found by the sweep engine's own
+    checks before any cell runs."""
     try:
         resolve_retry(args.retries)
         resolve_timeout(args.timeout)
@@ -493,9 +496,10 @@ def cmd_serve(args) -> int:
     """Run the campaign server in the foreground (docs/service.md).
 
     A knob the server refuses (a negative ``--retries``/``--timeout``,
-    ``--batch-cells`` or ``--max-queued-cells`` below 1) is a usage
-    error, raised before the port is bound.  This is the dedicated
-    server process, so the ``kill`` fault point may crash it.
+    a ``--timeout`` too large to arm, ``--batch-cells`` or
+    ``--max-queued-cells`` below 1) is a usage error, raised before the
+    port is bound.  This is the dedicated server process, so the
+    ``kill`` fault point may crash it.
     """
     from repro.service.server import CampaignServer, serve
 
@@ -512,12 +516,18 @@ def cmd_serve(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    """Submit one campaign to a running server and stream its rows."""
+    """Submit one campaign to a running server and stream its rows.
+
+    A ``--timeout`` or ``--retries`` the client refuses is a usage
+    error, raised before any request is sent."""
     from repro.service.client import ServiceClient, ServiceError
     from repro.service.schema import CampaignSpec
 
-    client = ServiceClient(args.host, args.port, timeout=args.timeout,
-                           retry=args.retries)
+    try:
+        client = ServiceClient(args.host, args.port, timeout=args.timeout,
+                               retry=args.retries)
+    except ValueError as exc:
+        _usage_error(args, str(exc))
     rows = []
     try:
         if args.resume:
@@ -593,7 +603,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=7,
                         help="trace seed, >= 0 (default 7)")
         sp.add_argument("--scale", type=float, default=1.0,
-                        help="trace-length scale (1.0 = default runs)")
+                        help="trace-length scale (1.0 = default runs); "
+                             "must be positive and finite")
         if mix:
             sp.add_argument("--mix", default="C1",
                             help="C1..C12, an LLM mix (kvcache, "
@@ -607,7 +618,10 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--hbm3", action="store_true",
                         help="use the HBM3 fast tier (Fig. 5b)")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override a config field, e.g. hybrid.assoc=8")
+                        help="override a config field, e.g. hybrid.assoc=8; "
+                             "a system the engines cannot run (block or "
+                             "assoc < 1, no set, epoch/phase/faucet "
+                             "cycles <= 0, mlp < 1) is refused")
 
     def common(sp, mix=True):
         workload_opts(sp, mix)
@@ -640,7 +654,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-job wall-clock budget in seconds "
                              "(overruns fail the job as a timeout); 0 = "
-                             "none, a negative budget is refused")
+                             "none, a negative budget or one of 9.2e9 s "
+                             "or more (inf) is refused")
         sp.add_argument("--collect-failures", action="store_true",
                         help="record unrecoverable cells and keep going "
                              "instead of aborting the grid (exit 1 if any)")
@@ -769,7 +784,8 @@ def make_parser() -> argparse.ArgumentParser:
                     help="re-run a failed cell up to N >= 0 extra times")
     sp.add_argument("--timeout", type=float, default=None, metavar="SEC",
                     help="per-cell wall-clock budget in seconds (0 = "
-                         "none, a negative budget is refused); binds "
+                         "none, a negative budget or one of 9.2e9 s or "
+                         "more is refused); binds "
                          "only cells run in the worker pool (--jobs > 1, "
                          "batches of 2+ cells), others run unbounded "
                          "(docs/service.md)")
@@ -798,7 +814,9 @@ def make_parser() -> argparse.ArgumentParser:
                          "custom 'cpu1-cpu2:gpu' specs")
     sp.add_argument("--designs", help="comma-separated design names "
                                       "(default: the Fig. 5 set)")
-    sp.add_argument("--scale", type=float, default=0.05)
+    sp.add_argument("--scale", type=float, default=0.05,
+                    help="trace-length scale, positive and finite "
+                         "(default 0.05)")
     sp.add_argument("--seed", type=int, default=7,
                     help="trace seed, >= 0 (default 7)")
     sp.add_argument("--engine", choices=list(ENGINES), default="fast",
@@ -808,7 +826,8 @@ def make_parser() -> argparse.ArgumentParser:
                     default="batch",
                     help="fair-queue class (weights: docs/service.md)")
     sp.add_argument("--timeout", type=float, default=300.0, metavar="SEC",
-                    help="max silence between stream rows (default 300)")
+                    help="max silence between stream rows (default 300); "
+                         "must be > 0 and below 9.2e9 s")
     sp.add_argument("--csv", metavar="PATH",
                     help="also write artifact-style perf rows to PATH")
     sp.add_argument("--quiet", action="store_true",
@@ -837,13 +856,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if "seed" in args:
-        # Every command taking --seed builds traces from it (``submit``
-        # through the server): refuse a negative one before anything runs.
-        try:
+    # Every command taking --seed or --scale builds traces from them
+    # (``submit`` through the server): refuse a negative seed and a
+    # scale that is not positive and finite before anything runs.
+    try:
+        if "seed" in args:
             check_seed(args.seed)
-        except ValueError as exc:
-            _usage_error(args, str(exc))
+        if "scale" in args:
+            check_scale(args.scale)
+    except ValueError as exc:
+        _usage_error(args, str(exc))
     return args.fn(args)
 
 

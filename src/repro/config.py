@@ -247,12 +247,29 @@ class SystemConfig:
     weight_gpu: float = 1.0
 
     def __post_init__(self) -> None:
+        # Refuse what the engines cannot run: a zero block or assoc
+        # divides by zero below, no set leaves nowhere to cache, and a
+        # cadence <= 0 reschedules its tick at the same time forever.
+        if self.hybrid.block < 1 or self.hybrid.assoc < 1:
+            raise ValueError(f"hybrid.block and hybrid.assoc must be >= 1, "
+                             f"got {self.hybrid.block} and "
+                             f"{self.hybrid.assoc}")
         if self.fast.capacity % (self.hybrid.block * self.hybrid.assoc):
             raise ValueError("fast capacity must be a multiple of block*assoc")
+        if self.num_sets < 1:
+            raise ValueError(f"fast capacity {self.fast.capacity} holds no "
+                             f"set of block*assoc bytes")
         if self.hybrid.mode not in ("cache", "flat"):
             raise ValueError(f"unknown hybrid mode {self.hybrid.mode!r}")
         if self.fast.channels < 1 or self.slow.channels < 1:
             raise ValueError("need at least one channel per tier")
+        for name in ("epoch_cycles", "phase_cycles", "faucet_cycles"):
+            if not getattr(self.epochs, name) > 0:
+                raise ValueError(f"epochs.{name} must be > 0, got "
+                                 f"{getattr(self.epochs, name)}")
+        if self.cpu.mlp < 1 or self.gpu.mlp < 1:
+            raise ValueError(f"cpu.mlp and gpu.mlp must be >= 1, got "
+                             f"{self.cpu.mlp} and {self.gpu.mlp}")
 
     @property
     def num_sets(self) -> int:

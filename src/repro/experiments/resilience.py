@@ -112,14 +112,26 @@ def resolve_retry(retry: "RetryPolicy | int | None") -> RetryPolicy:
                     f"got {type(retry).__name__}")
 
 
+#: Budgets must stay below the interpreter's timer limit: CPython holds
+#: times as int64 nanoseconds, so ``signal.setitimer`` and
+#: ``socket.settimeout`` overflow from 2**63 ns (about 9.22e9 s) up.
+TIMER_LIMIT_S = 2**63 / 1e9
+
+
 def resolve_timeout(seconds: float | None) -> float | None:
     """Validate the user-facing ``job_timeout`` budget.
 
-    ``None`` and 0 mean no budget; a negative (or NaN) budget raises
-    ``ValueError`` here instead of failing every job in ``setitimer``.
+    ``None`` and 0 mean no budget.  A negative (or NaN) budget, and one
+    that ``setitimer`` cannot arm (:data:`TIMER_LIMIT_S` or more, ``inf``
+    included), raise ``ValueError`` here instead of failing every job.
     """
-    if seconds is not None and not seconds >= 0:
+    if seconds is None:
+        return None
+    if not seconds >= 0:
         raise ValueError(f"job_timeout must be >= 0 seconds, got {seconds}")
+    if seconds >= TIMER_LIMIT_S:
+        raise ValueError(f"job_timeout must be >= 0 and below "
+                         f"{TIMER_LIMIT_S:.4g} seconds, got {seconds}")
     return seconds
 
 

@@ -63,8 +63,8 @@ from repro.experiments.resilience import (JobFailure, RetryPolicy,
 from repro.experiments.runner import (run_design, slowdown_metrics,
                                       weighted_speedup)
 from repro.telemetry import NULL_SINK, Telemetry
-from repro.traces.mixes import (WorkloadMix, build_mix, check_seed,
-                                cpu_only, fill_copies, gpu_only)
+from repro.traces.mixes import (WorkloadMix, build_mix, check_scale,
+                                check_seed, cpu_only, fill_copies, gpu_only)
 
 #: Environment default for the worker count (used when ``workers=None``).
 WORKERS_ENV = "REPRO_SWEEP_JOBS"
@@ -101,9 +101,10 @@ class MixSpec:
     Carries its own seed, so every job derived from it is deterministic;
     ``solo`` selects the CPU-only / GPU-only variant used by the Fig. 2
     co-run study.  ``None`` reference counts mean "the library default".
-    Construction checks the name (``KeyError`` naming the known mixes)
-    and the seed (``ValueError`` when negative), so a grid with a bad
-    name or seed fails before any cell simulates, and resolves
+    Construction checks the name (``KeyError`` naming the known mixes),
+    the seed (``ValueError`` when negative) and the scale (``ValueError``
+    unless positive and finite), so a grid with a bad name, seed or
+    scale fails before any cell simulates, and resolves
     ``cpu_copies=None`` to the copies that fill the 8 CPU cores (2 for
     every named mix).
     """
@@ -120,6 +121,7 @@ class MixSpec:
     def __post_init__(self) -> None:
         copies = fill_copies(self.name)
         check_seed(self.seed)
+        check_scale(self.scale)
         if self.cpu_copies is None:
             object.__setattr__(self, "cpu_copies", copies)
 

@@ -11,7 +11,7 @@ weighted-fair priority queueing; :mod:`repro.service.journal` is the
 write-ahead job journal that makes accepted campaigns survive crashes
 and restarts; :mod:`repro.service.health` is the operational
 ``/v1/health`` schema; :mod:`repro.service.client` is the blocking,
-retrying convenience client behind ``repro serve`` / ``repro submit``.
+retrying convenience client behind ``repro submit``.
 See docs/service.md.
 """
 

@@ -39,7 +39,8 @@ import json
 import time
 from typing import Any, Iterator, Mapping
 
-from repro.experiments.resilience import RetryPolicy, resolve_retry
+from repro.experiments.resilience import (TIMER_LIMIT_S, RetryPolicy,
+                                          resolve_retry)
 from repro.service.schema import (CampaignSpec, CellRow, JobStatus,
                                   SchemaError)
 
@@ -62,15 +63,21 @@ class ServiceClient:
     response), so a client object is cheap and holds no sockets between
     calls.  ``timeout`` bounds each socket read — for :meth:`stream`
     that is the max silence *between* rows, not the total campaign
-    duration.  ``retry`` (``None`` | retry count | ``RetryPolicy``)
-    governs transient-failure handling everywhere: connection errors,
-    429/503 responses, and broken streams; the default allows three
-    retries with seeded exponential backoff.
+    duration; it must be positive and below
+    :data:`~repro.experiments.resilience.TIMER_LIMIT_S` (0 would make the
+    socket non-blocking).  ``retry`` (``None`` | retry count |
+    ``RetryPolicy``) governs transient-failure handling everywhere:
+    connection errors, 429/503 responses, and broken streams; the
+    default allows three retries with seeded exponential backoff.  A
+    bad ``timeout`` or a negative retry count raises ``ValueError``.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8642,
                  timeout: float = 300.0,
                  retry: "RetryPolicy | int | None" = 3) -> None:
+        if not 0 < timeout < TIMER_LIMIT_S:
+            raise ValueError(f"timeout must be > 0 and below "
+                             f"{TIMER_LIMIT_S:.4g} seconds, got {timeout}")
         self.host = host
         self.port = port
         self.timeout = timeout

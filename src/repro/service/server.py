@@ -578,7 +578,7 @@ class CampaignServer:
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
                 ConnectionError, asyncio.TimeoutError):
             status = 0   # client went away mid-request; nothing to send
-        except Exception as exc:  # noqa: ROB01 - last-resort 500 boundary
+        except Exception as exc:  # last-resort 500 boundary
             try:
                 await _send_json(writer, 500,
                                  {"error": f"{type(exc).__name__}: {exc}"})

@@ -12,6 +12,7 @@ separate processes under a first-touch allocator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.config import MB
@@ -102,6 +103,18 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def check_scale(scale: float) -> None:
+    """Raise ``ValueError`` unless the trace-length ``scale`` is positive
+    and finite.
+
+    :func:`build_mix` floors every trace at 1,000 CPU / 500 GPU
+    references, so a scale <= 0 would silently simulate that floor under
+    a cache key of its own, and NaN fails deep in trace generation.
+    """
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+
+
 def fill_copies(name: str) -> int:
     """Copies per CPU workload that fill the 8 CPU cores for mix
     ``name`` (``CPU_COPIES`` for every Table II and LLM mix); raises
@@ -121,10 +134,12 @@ def build_mix(name: str, *, cpu_refs: int = 15_000, gpu_refs: int = 150_000,
     defaults to :func:`fill_copies`.  An LLM mix's GPU side is a KV-cache
     stream whose region base is aligned to the request stride, so the
     layer/token address arithmetic of :mod:`repro.traces.llm` holds.
-    A negative ``seed`` raises ``ValueError`` (:func:`check_seed`).
+    A negative ``seed`` or a ``scale`` that is not positive and finite
+    raises ``ValueError`` (:func:`check_seed`, :func:`check_scale`).
     """
     cpu_names, gpu_name, salt = mix_recipe(name)
     check_seed(seed)
+    check_scale(scale)
     if cpu_copies is None:
         cpu_copies = fill_copies(name)
 

@@ -244,6 +244,30 @@ def test_mut01_unsorted_iteration_in_hashing_path(tmp_path):
                        name="report.py") == []
 
 
+def test_mut01_chainmap_default(tmp_path):
+    findings = lint_source(tmp_path, """\
+        from collections import ChainMap
+
+        def layered(base, scopes=ChainMap()):
+            return scopes.new_child(base)
+        """, MutableDefaultRule())
+    assert [f.rule_id for f in findings] == ["MUT01"]
+    assert findings[0].line == 3
+    assert "ChainMap()" in findings[0].message
+
+
+def test_mut01_set_algebra_loop_in_hashing_path(tmp_path):
+    findings = lint_source(tmp_path, """\
+        def changed_keys(a, b):
+            out = []
+            for k in set(a) | set(b):
+                out.append(k)
+            return out
+        """, MutableDefaultRule(), name="config_io.py")
+    assert [f.rule_id for f in findings] == ["MUT01"]
+    assert findings[0].line == 3
+
+
 def test_sty03_unused_import(tmp_path):
     findings = lint_source(tmp_path, """\
         import os
@@ -457,6 +481,17 @@ def test_iso01_module_level_mutable(tmp_path):
     assert "_CACHE" in findings[0].message
 
 
+def test_iso01_qualified_constructor(tmp_path):
+    findings = lint_source(tmp_path, """\
+        import collections
+
+        _PENDING = collections.deque()
+        """, StateIsolationRule(), name="engine/queue.py")
+    assert [f.rule_id for f in findings] == ["ISO01"]
+    assert findings[0].line == 3
+    assert "_PENDING" in findings[0].message
+
+
 def test_iso01_class_level_mutable(tmp_path):
     source = """\
         class Tracker:
@@ -555,28 +590,23 @@ def test_flt01_scoped_to_sim_state(tmp_path):
     assert findings == []
 
 
-def test_noqa_on_first_line_covers_wrapped_statement(tmp_path):
-    # The finding (the lambda) sits two lines below the marker; the
-    # suppression covers the whole physical statement span.
-    findings = lint_source(tmp_path, """\
+def test_noqa_covers_only_its_own_line(tmp_path):
+    # The finding (the lambda) sits two lines below the marker: a marker
+    # covers the line it is on, not the rest of a wrapped statement.
+    source = """\
         from repro.experiments import sweep_grid
 
         def drive(mixes, designs, cfg):
             return sweep_grid(  # noqa: PCK01 -- fixture
                 mixes, designs, cfg,
                 on_result=lambda cell: cell)
-        """, SweepPicklabilityRule())
-    assert findings == []
-
-
-def test_noqa_on_continuation_line_covers_statement_start(tmp_path):
-    findings = lint_source(tmp_path, """\
-        import random
-
-        rng = random.Random(
-        )  # noqa: DET01 -- fixture
-        """, DeterminismRule())
-    assert findings == []
+        """
+    findings = lint_source(tmp_path, source, SweepPicklabilityRule())
+    assert [(f.rule_id, f.line) for f in findings] == [("PCK01", 6)]
+    # On the finding's own line the same marker does suppress it.
+    moved = source.replace("(  # noqa: PCK01 -- fixture", "(").replace(
+        "lambda cell: cell)", "lambda cell: cell)  # noqa: PCK01")
+    assert lint_source(tmp_path, moved, SweepPicklabilityRule()) == []
 
 
 def test_noqa_in_compound_body_does_not_cover_header(tmp_path):

@@ -19,6 +19,14 @@ def test_public_api_fully_documented(capsys):
     assert "documented" in capsys.readouterr().out
 
 
+def test_api_doc_snippets_are_executed():
+    # main() runs docs/api.md's snippets with the guides'; the page's
+    # narrative needs at least eight of them.
+    mod = load_check_docs()
+    assert mod.API_DOC in mod.EXECUTED_DOCS
+    assert len(mod._SNIPPET.findall(mod.API_DOC.read_text())) >= 8
+
+
 def test_guide_snippets_execute(tmp_path):
     mod = load_check_docs()
     good = tmp_path / "good.md"

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main, make_parser
 from repro.experiments import runner
+from repro.service.client import ServiceClient
 from repro.service.server import CampaignServer
 
 
@@ -244,6 +245,67 @@ USAGE_ERROR_CASES = [
      "repro serve: retry count must be >= 0, got -1"),
     (("serve", "--port", "0", "--timeout", "-1"),
      "repro serve: job_timeout must be >= 0 seconds, got -1.0"),
+    # A budget setitimer cannot arm (2**63 ns or more).
+    (("sweep", "--mixes", "C1", "--timeout", "inf"),
+     "repro sweep: job_timeout must be >= 0 and below 9.223e+09 seconds, "
+     "got inf"),
+    (("compare", "--timeout", "1e10"),
+     "repro compare: job_timeout must be >= 0 and below 9.223e+09 "
+     "seconds, got 10000000000.0"),
+    (("serve", "--port", "0", "--timeout", "inf"),
+     "repro serve: job_timeout must be >= 0 and below 9.223e+09 seconds, "
+     "got inf"),
+    # The client's own knobs, refused before any request.
+    (("submit", "--port", "1", "--retries", "-1"),
+     "repro submit: retry count must be >= 0, got -1"),
+    (("submit", "--port", "1", "--timeout", "-1"),
+     "repro submit: timeout must be > 0 and below 9.223e+09 seconds, "
+     "got -1.0"),
+    (("submit", "--port", "1", "--timeout", "0"),
+     "repro submit: timeout must be > 0 and below 9.223e+09 seconds, "
+     "got 0.0"),
+    (("submit", "--port", "1", "--timeout", "inf"),
+     "repro submit: timeout must be > 0 and below 9.223e+09 seconds, "
+     "got inf"),
+    # build_mix would floor a scale <= 0 to 1,000/500 references.
+    (("run", "--scale", "-1"),
+     "repro run: scale must be positive and finite, got -1.0"),
+    (("run", "--scale", "0"),
+     "repro run: scale must be positive and finite, got 0.0"),
+    (("run", "--scale", "nan"),
+     "repro run: scale must be positive and finite, got nan"),
+    (("sweep", "--scale", "-0.5"),
+     "repro sweep: scale must be positive and finite, got -0.5"),
+    (("fig", "fig2a", "--scale", "-1"),
+     "repro fig: scale must be positive and finite, got -1.0"),
+    (("traces", "--scale", "-1"),
+     "repro traces: scale must be positive and finite, got -1.0"),
+    (("submit", "--port", "1", "--scale", "0"),
+     "repro submit: scale must be positive and finite, got 0.0"),
+    # Systems the engines cannot run (a zero cadence used to hang).
+    (("config", "--set", "epochs.faucet_cycles=0"),
+     "repro config: epochs.faucet_cycles must be > 0, got 0"),
+    (("config", "--set", "epochs.phase_cycles=0"),
+     "repro config: epochs.phase_cycles must be > 0, got 0"),
+    (("config", "--set", "epochs.epoch_cycles=-5000"),
+     "repro config: epochs.epoch_cycles must be > 0, got -5000"),
+    (("config", "--set", "hybrid.assoc=0"),
+     "repro config: hybrid.block and hybrid.assoc must be >= 1, "
+     "got 256 and 0"),
+    (("config", "--set", "hybrid.block=0"),
+     "repro config: hybrid.block and hybrid.assoc must be >= 1, "
+     "got 0 and 4"),
+    (("config", "--set", "hybrid.assoc=-4"),
+     "repro config: hybrid.block and hybrid.assoc must be >= 1, "
+     "got 256 and -4"),
+    (("config", "--set", "fast.capacity=0"),
+     "repro config: fast capacity 0 holds no set of block*assoc bytes"),
+    (("config", "--set", "cpu.mlp=0"),
+     "repro config: cpu.mlp and gpu.mlp must be >= 1, got 0 and 96"),
+    (("config", "--set", "gpu.mlp=0"),
+     "repro config: cpu.mlp and gpu.mlp must be >= 1, got 8 and 0"),
+    (("run", "--scale", "0.02", "--set", "epochs.faucet_cycles=0"),
+     "repro run: epochs.faucet_cycles must be > 0, got 0"),
 ]
 
 
@@ -257,8 +319,12 @@ def test_usage_error_is_one_line_and_exit_two(argv, line, capsys,
     def start(self):
         raise AssertionError("a port was bound despite the usage error")
 
+    def request(self, *args, **kw):
+        raise AssertionError("a request was sent despite the usage error")
+
     monkeypatch.setattr(runner, "simulate", simulate)
     monkeypatch.setattr(CampaignServer, "start", start)
+    monkeypatch.setattr(ServiceClient, "_request", request)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2

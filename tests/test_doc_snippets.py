@@ -2,31 +2,15 @@
 
 Blocks share one namespace top to bottom (the page builds on its own
 earlier snippets, e.g. ``cfg`` and ``mix``), so this also catches
-reordering that breaks the narrative flow.
+reordering that breaks the narrative flow.  The page runs through
+``scripts/check_docs.py``'s snippet runner, the one that executes every
+guide page, so a failure here names the page and snippet the docs gate
+would.
 """
 
-import re
-from pathlib import Path
-
-API_DOC = Path(__file__).resolve().parents[1] / "docs" / "api.md"
-
-SNIPPET = re.compile(r"```python\n(.*?)```", re.DOTALL)
-
-
-def extract_snippets(text: str) -> list[str]:
-    return SNIPPET.findall(text)
-
-
-def test_api_doc_exists_and_has_snippets():
-    text = API_DOC.read_text()
-    assert len(extract_snippets(text)) >= 8
+from .test_check_docs import load_check_docs
 
 
 def test_api_doc_snippets_run():
-    ns: dict = {}
-    for i, code in enumerate(extract_snippets(API_DOC.read_text())):
-        try:
-            exec(compile(code, f"docs/api.md:snippet{i}", "exec"), ns)
-        except Exception as exc:  # pragma: no cover - failure reporting
-            raise AssertionError(
-                f"docs/api.md snippet {i} failed: {exc}\n---\n{code}") from exc
+    mod = load_check_docs()
+    assert mod.run_snippets([mod.API_DOC]) == []

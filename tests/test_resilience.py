@@ -129,7 +129,8 @@ def test_time_limit_that_cannot_arm_restores_the_handler():
     assert signal.getsignal(signal.SIGALRM) is before
 
 
-@pytest.mark.parametrize("budget", [-1, -0.5, float("nan")])
+@pytest.mark.parametrize("budget", [-1, -0.5, float("nan"), float("inf"),
+                                    1e10])
 def test_engine_refuses_a_negative_job_budget(budget):
     with pytest.raises(ValueError, match="job_timeout must be >= 0"):
         SweepEngine(job_timeout=budget)

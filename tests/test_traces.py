@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.config import CACHELINE, KB, MB, SystemConfig
 from repro.experiments.sweep import MixSpec
+from repro.traces import mixes
 from repro.traces.base import TraceSpec, characterize, generate_trace
 from repro.traces.cpu import CPU_SPECS, cpu_spec
 from repro.traces.gpu import GPU_SPECS, gpu_spec
@@ -164,6 +166,24 @@ def test_negative_seed_raises_naming_it(name, seed):
         build_mix(name, cpu_refs=1000, gpu_refs=1000, seed=seed)
     with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
         MixSpec(name, seed=seed)
+
+
+@pytest.mark.parametrize("scale", [0, -1, -0.5, float("nan"),
+                                   float("inf")])
+def test_scale_must_be_positive_and_finite(scale, monkeypatch):
+    # build_mix floors each trace at 1,000/500 references: a scale <= 0
+    # must be refused, not run as that floor under its own cache key.
+    def generate(*args, **kw):
+        raise AssertionError("a trace was generated despite the bad scale")
+
+    monkeypatch.setattr(mixes, "generate_trace", generate)
+    match = f"scale must be positive and finite, got {scale}"
+    with pytest.raises(ValueError, match=match):
+        build_mix("C1", scale=scale)
+    with pytest.raises(ValueError, match=match):
+        MixSpec("C1", scale=scale)
+    with pytest.raises(ValueError, match=match):
+        api.simulate(mix="C1", scale=scale)
 
 
 #: SHA-256 over every trace of a mix (name, class, base, footprint and
