@@ -14,7 +14,7 @@ fast:slow bandwidth = 4:1 for HBM2E and 8:1 for HBM3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 KB = 1024
 MB = 1024 * KB
@@ -248,8 +248,17 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         # Refuse what the engines cannot run: a zero block or assoc
-        # divides by zero below, no set leaves nowhere to cache, and a
-        # cadence <= 0 reschedules its tick at the same time forever.
+        # divides by zero below, no set leaves nowhere to cache, a
+        # cadence below one cycle reschedules its tick (nearly) at the
+        # same time forever, and a non-finite number poisons every time
+        # it reaches.
+        for path, value in _numbers(self):
+            if not math.isfinite(value):
+                raise ValueError(f"{path} must be finite, got {value}")
+        for path in _INTEGER_FIELDS:
+            value = _get(self, path)
+            if not isinstance(value, int):
+                raise ValueError(f"{path} must be an integer, got {value!r}")
         if self.hybrid.block < 1 or self.hybrid.assoc < 1:
             raise ValueError(f"hybrid.block and hybrid.assoc must be >= 1, "
                              f"got {self.hybrid.block} and "
@@ -263,13 +272,38 @@ class SystemConfig:
             raise ValueError(f"unknown hybrid mode {self.hybrid.mode!r}")
         if self.fast.channels < 1 or self.slow.channels < 1:
             raise ValueError("need at least one channel per tier")
+        for tier in ("fast", "slow"):
+            mem = getattr(self, tier)
+            t = mem.timing
+            if t.banks < 1 or t.row_bytes < 1 or not t.bytes_per_cycle > 0:
+                raise ValueError(
+                    f"{tier}.timing needs banks >= 1, row_bytes >= 1 and "
+                    f"bytes_per_cycle > 0, got {t.banks}, {t.row_bytes} "
+                    f"and {t.bytes_per_cycle}")
+            if min(t.t_rcd, t.t_cas, t.t_rp, mem.link_latency) < 0:
+                raise ValueError(f"{tier} latencies must be >= 0")
+        if min(self.llc.latency, self.hybrid.remap_sram_latency) < 0:
+            raise ValueError("llc.latency and hybrid.remap_sram_latency "
+                             "must be >= 0")
+        if self.hybrid.remap_entry_bytes < 1:
+            raise ValueError(f"hybrid.remap_entry_bytes must be >= 1, got "
+                             f"{self.hybrid.remap_entry_bytes}")
         for name in ("epoch_cycles", "phase_cycles", "faucet_cycles"):
-            if not getattr(self.epochs, name) > 0:
-                raise ValueError(f"epochs.{name} must be > 0, got "
+            if not getattr(self.epochs, name) >= 1:
+                raise ValueError(f"epochs.{name} must be >= 1 cycle, got "
                                  f"{getattr(self.epochs, name)}")
         if self.cpu.mlp < 1 or self.gpu.mlp < 1:
             raise ValueError(f"cpu.mlp and gpu.mlp must be >= 1, got "
                              f"{self.cpu.mlp} and {self.gpu.mlp}")
+        if self.cpu.cores < 1 or self.gpu.execution_units < 1:
+            raise ValueError(f"cpu.cores and gpu.execution_units must be "
+                             f">= 1, got {self.cpu.cores} and "
+                             f"{self.gpu.execution_units}")
+        if min(self.weight_cpu, self.weight_gpu) < 0 or not (
+                self.weight_cpu or self.weight_gpu):
+            raise ValueError(f"weight_cpu and weight_gpu must be >= 0 and "
+                             f"not both 0, got {self.weight_cpu} and "
+                             f"{self.weight_gpu}")
 
     @property
     def num_sets(self) -> int:
@@ -304,6 +338,29 @@ class SystemConfig:
             block=block if block is not None else self.hybrid.block,
         )
         return replace(self, hybrid=hyb)
+
+
+#: Sizes the engines use as counts or list lengths.
+_INTEGER_FIELDS = ("fast.channels", "slow.channels", "fast.capacity",
+                   "slow.capacity", "fast.timing.banks", "slow.timing.banks",
+                   "fast.timing.row_bytes", "slow.timing.row_bytes",
+                   "hybrid.block", "hybrid.assoc", "hybrid.remap_entry_bytes")
+
+
+def _get(cfg: object, path: str) -> object:
+    for part in path.split("."):
+        cfg = getattr(cfg, part)
+    return cfg
+
+
+def _numbers(obj: object, prefix: str = ""):
+    """``(dotted path, value)`` of every number in a config tree."""
+    for f in fields(obj):  # type: ignore[arg-type]
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _numbers(value, f"{prefix}{f.name}.")
+        elif isinstance(value, (int, float)):
+            yield f"{prefix}{f.name}", value
 
 
 def default_system(**overrides) -> SystemConfig:

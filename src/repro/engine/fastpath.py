@@ -7,10 +7,12 @@ a stack of delegating method calls.  The optimized engine keeps the
 *schedule* of that loop — every observable event fires with the same
 ``(time, seq)`` heap key, so same-time tiebreaks, float accumulation
 order and policy RNG draws are identical — while removing the
-per-access recomputation.  Its per-access loop is the fused interpreter
-of :mod:`repro.engine.batch`; this module holds the state it runs over:
+per-access recomputation.  Its per-access loop is the fused loop of
+:mod:`repro.engine.batch` (native, or its Python fallback); this module
+holds the state it runs over:
 
-* **SoA trace decode** (:class:`FastAgent`) — ``addr // block`` and
+* **SoA trace decode** (:class:`FastAgent`, Python fallback only: the
+  native loop derives both per access) — ``addr // block`` and
   ``block % num_sets`` are precomputed for the whole trace in one
   vectorized pass and memoized per (trace, geometry) on the trace
   itself (:meth:`repro.traces.base.Trace.columns`), as plain lists

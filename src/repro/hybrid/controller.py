@@ -30,7 +30,8 @@ from repro.hybrid.policies.base import PartitionPolicy
 from repro.mem.device import MemoryDevice
 from repro.telemetry import NULL_SINK, Telemetry
 
-_CLASS_KEYS = ("accesses", "remap_fills", "fast_hits", "fast_misses",
+#: Per-class counter names, in the order the native loop stores them.
+CLASS_KEYS = ("accesses", "remap_fills", "fast_hits", "fast_misses",
                "migrations", "migration_tokens", "bypasses", "queue_bypasses",
                "evictions", "writebacks")
 
@@ -64,8 +65,8 @@ class HybridMemoryController:
         self._flat = cfg.hybrid.mode == "flat"
         self._base_extra = cfg.llc.latency + cfg.hybrid.remap_sram_latency
         self._llc_lat = cfg.llc.latency
-        self._cnt = {"cpu": dict.fromkeys(_CLASS_KEYS, 0),
-                     "gpu": dict.fromkeys(_CLASS_KEYS, 0)}
+        self._cnt = {"cpu": dict.fromkeys(CLASS_KEYS, 0),
+                     "gpu": dict.fromkeys(CLASS_KEYS, 0)}
         self._mig_qlimit = cfg.hybrid.migrate_queue_limit
         # Direct channel references: skip the MemoryDevice indirection on
         # the per-access hot path.

@@ -284,11 +284,11 @@ USAGE_ERROR_CASES = [
      "repro submit: scale must be positive and finite, got 0.0"),
     # Systems the engines cannot run (a zero cadence used to hang).
     (("config", "--set", "epochs.faucet_cycles=0"),
-     "repro config: epochs.faucet_cycles must be > 0, got 0"),
+     "repro config: epochs.faucet_cycles must be >= 1 cycle, got 0"),
     (("config", "--set", "epochs.phase_cycles=0"),
-     "repro config: epochs.phase_cycles must be > 0, got 0"),
+     "repro config: epochs.phase_cycles must be >= 1 cycle, got 0"),
     (("config", "--set", "epochs.epoch_cycles=-5000"),
-     "repro config: epochs.epoch_cycles must be > 0, got -5000"),
+     "repro config: epochs.epoch_cycles must be >= 1 cycle, got -5000"),
     (("config", "--set", "hybrid.assoc=0"),
      "repro config: hybrid.block and hybrid.assoc must be >= 1, "
      "got 256 and 0"),
@@ -305,7 +305,34 @@ USAGE_ERROR_CASES = [
     (("config", "--set", "gpu.mlp=0"),
      "repro config: cpu.mlp and gpu.mlp must be >= 1, got 8 and 0"),
     (("run", "--scale", "0.02", "--set", "epochs.faucet_cycles=0"),
-     "repro run: epochs.faucet_cycles must be > 0, got 0"),
+     "repro run: epochs.faucet_cycles must be >= 1 cycle, got 0"),
+    # A crash, a stall, two hangs and an objective that rewards a slower
+    # CPU: each ran (or died mid-run) before the config check.
+    (("run", "--scale", "0.02", "--set", "cpu.cores=0"),
+     "repro run: cpu.cores and gpu.execution_units must be >= 1, "
+     "got 0 and 96"),
+    (("run", "--scale", "0.02", "--set", "gpu.execution_units=0"),
+     "repro run: cpu.cores and gpu.execution_units must be >= 1, "
+     "got 8 and 0"),
+    (("run", "--scale", "0.02", "--set", "epochs.faucet_cycles=1e-12"),
+     "repro run: epochs.faucet_cycles must be >= 1 cycle, got 1e-12"),
+    (("run", "--scale", "0.02", "--set", "epochs.phase_cycles=1e-9"),
+     "repro run: epochs.phase_cycles must be >= 1 cycle, got 1e-09"),
+    (("run", "--scale", "0.02", "--set", "epochs.epoch_cycles=1e-9"),
+     "repro run: epochs.epoch_cycles must be >= 1 cycle, got 1e-09"),
+    (("run", "--scale", "0.02", "--set", "weight_cpu=-1"),
+     "repro run: weight_cpu and weight_gpu must be >= 0 and not both 0, "
+     "got -1 and 1.0"),
+    (("config", "--set", "weight_cpu=0", "--set", "weight_gpu=0"),
+     "repro config: weight_cpu and weight_gpu must be >= 0 and not both "
+     "0, got 0 and 0"),
+    (("config", "--set", "fast.timing.banks=0"),
+     "repro config: fast.timing needs banks >= 1, row_bytes >= 1 and "
+     "bytes_per_cycle > 0, got 0, 1024 and 64.0"),
+    (("config", "--set", "slow.timing.row_bytes=4096.5"),
+     "repro config: slow.timing.row_bytes must be an integer, got 4096.5"),
+    (("config", "--set", "slow.link_latency=NaN"),
+     "repro config: slow.link_latency must be finite, got nan"),
 ]
 
 

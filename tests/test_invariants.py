@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MB, default_system
+from repro.config_io import apply_overrides, config_to_dict
 from repro.core.hydrogen import HydrogenPolicy
 from repro.engine.events import EventQueue
 from repro.engine.stats import Stats
@@ -182,3 +183,77 @@ def test_random_geometry_runs_conserve_and_agree(fast_ch, slow_ch, assoc,
         # Hydrogen's QoS floor: neither class is starved of the fast tier.
         assert n["fast_hits"] > 0 or not design.startswith("hydrogen")
     assert ref.policy_state.get("tokens_banked", 0.0) >= 0.0
+
+
+# -- every numeric override: refused up front, or run to the end ------------
+
+def flatten_config(d: dict, prefix: str = ""):
+    """``(dotted key, value)`` of every leaf of a config dict."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from flatten_config(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+#: Every numeric field ``config_io.apply_overrides`` accepts (``--set``).
+NUMERIC_FIELDS = tuple(sorted(
+    key for key, value in flatten_config(config_to_dict(default_system()))
+    if isinstance(value, (int, float))))
+
+#: Values that broke or hung an engine before ``SystemConfig`` refused
+#: them, or sit on a boundary: zero, negatives, sub-cycle, non-finite.
+EDGE_VALUES = (0, -1, -0.0, 1, 2, 3, 0.5, 1e-12, 1e-9, 2.5, 64, 4096,
+               1e12, float("nan"), float("inf"), float("-inf"))
+
+#: Fields that size the engines' state: drawn from small values only, so
+#: every draw builds a store, channel set and bank table of modest size.
+SIZE_VALUES = {
+    "hybrid.block": (0, -1, 1.5, 64, 128, 512, 4096),
+    "hybrid.assoc": (0, -2, 1, 2, 3, 8, 16, 2.5),
+    "fast.capacity": (0, -1024, 1000, 1 << 20, 4 << 20, 1.5e6),
+    "fast.channels": (0, -1, 1, 2, 3, 7, 16, 2.5),
+    "slow.channels": (0, -1, 1, 2, 3, 7, 16, 2.5),
+    "fast.timing.banks": (0, -1, 1, 3, 64, 2.5),
+    "slow.timing.banks": (0, -1, 1, 3, 64, 2.5),
+    "fast.timing.row_bytes": (0, -1, 1, 7, 64, 65536, 100.5),
+    "slow.timing.row_bytes": (0, -1, 1, 7, 64, 65536, 100.5),
+}
+
+#: Tiny mix shared by every override draw.
+OVERRIDE_MIX = build_mix("C1", cpu_refs=300, gpu_refs=1200, seed=5)
+
+
+@st.composite
+def overrides(draw):
+    key = draw(st.sampled_from(NUMERIC_FIELDS))
+    if key in SIZE_VALUES:
+        return key, draw(st.sampled_from(SIZE_VALUES[key]))
+    return key, draw(st.one_of(
+        st.sampled_from(EDGE_VALUES), st.integers(-10, 10**6),
+        st.floats(-1e4, 1e9, allow_nan=False)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(override=overrides(),
+       design=st.sampled_from(["hydrogen", "profess", "hashcache",
+                               "baseline"]))
+@example(override=("cpu.cores", 0), design="hydrogen")
+@example(override=("gpu.execution_units", 0), design="hydrogen")
+@example(override=("epochs.faucet_cycles", 1e-12), design="hydrogen")
+@example(override=("epochs.epoch_cycles", 1), design="hydrogen")
+@example(override=("weight_cpu", -1), design="hydrogen")
+@example(override=("fast.timing.bytes_per_cycle", 1e-9), design="profess")
+def test_every_numeric_override_is_refused_or_runs_on_both_engines(
+        override, design):
+    """A drawn ``--set KEY=V`` either raises ``ValueError`` from
+    ``SystemConfig`` or runs a tiny mix to the end (under a cycle
+    budget, watchdog off) with the reference ≡ the fast engine."""
+    key, value = override
+    try:
+        cfg = apply_overrides(default_system(), {key: value})
+    except ValueError:
+        return
+    kw = dict(max_cycles=5_000.0, stall_epochs=None)
+    ref = run_design(design, OVERRIDE_MIX, cfg, engine="reference", **kw)
+    assert run_design(design, OVERRIDE_MIX, cfg, engine="fast", **kw) == ref
